@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the hot components: the counter array and stagger
 //! walk (executed millions of times per simulated second), the pending
-//! queue, the DRAM command layer, the workload generator, and the
-//! end-to-end controller access path.
+//! queue, the DRAM command layer, the workload generator, the stacked-DRAM
+//! L3 cache, and the end-to-end controller access path.
 //!
 //! A self-contained `harness = false` timing loop (no external benchmark
 //! framework, so the workspace builds offline): each benchmark is warmed
@@ -9,6 +9,7 @@
 
 use std::time::Instant as WallClock;
 
+use smartrefresh_cache::StackedDramCache;
 use smartrefresh_core::{
     CounterArray, PendingRefreshQueue, RefreshPolicy, SmartRefresh, SmartRefreshConfig,
     StaggerSchedule,
@@ -179,6 +180,20 @@ fn bench_smart_policy_tick() {
     });
 }
 
+fn bench_stacked_cache() {
+    // Every stacked experiment builds (and drops) one Table 2 L3.
+    bench("cache/stacked_new_64mib", 200, || {
+        std::hint::black_box(StackedDramCache::table2_64mb());
+    });
+    // First-touch misses into a fresh cache: each access fills a new slot.
+    let mut l3 = StackedDramCache::table2_64mb();
+    let mut line = 0u64;
+    bench("cache/stacked_cold_miss", 500_000, || {
+        line += 1;
+        std::hint::black_box(l3.access(std::hint::black_box(line * 64), false));
+    });
+}
+
 fn bench_controller_access() {
     let geometry = Geometry::new(2, 4, 16384, 2048, 64);
     let timing = TimingParams::ddr2_667();
@@ -214,5 +229,6 @@ fn main() {
     bench_device();
     bench_generator();
     bench_smart_policy_tick();
+    bench_stacked_cache();
     bench_controller_access();
 }

@@ -2,7 +2,7 @@
 //! 1, 2, and 4 simulation threads), the system campaigns, an
 //! orchestrated fleet (single worker vs. a supervised pool), and the
 //! conformance tooling (the nine-rule source lint plus the bounded
-//! interleaving model check), emitted as `BENCH_10.json` at the
+//! interleaving model check), emitted as `BENCH_12.json` at the
 //! workspace root so the numbers are tracked PR-over-PR.
 //!
 //! Self-contained `harness = false` timing loop — no external benchmark
@@ -277,10 +277,10 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_12.json");
     must(
         write_atomic(path.as_ref(), json.as_bytes()),
-        "write BENCH_10.json",
+        "write BENCH_12.json",
     );
     println!("wrote {path}");
 }

@@ -2,9 +2,9 @@
 //!
 //! The `benches/` directory holds two kinds of targets:
 //!
-//! * `micro` — Criterion micro-benchmarks of the hot components (counter
+//! * `micro` — plain-timing micro-benchmarks of the hot components (counter
 //!   array, stagger walk, pending queue, DRAM command layer, workload
-//!   generation, controller access path);
+//!   generation, stacked-DRAM L3 cache, controller access path);
 //! * `fig*` / `abl_*` — `harness = false` binaries that regenerate each
 //!   table/figure of the paper or run an ablation, printing paper-vs-measured
 //!   tables. `SMARTREFRESH_SCALE` (default 1.0) scales the simulated spans.

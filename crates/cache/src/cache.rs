@@ -5,6 +5,15 @@
 //! hit/miss/eviction behaviour and statistics — because that is all the
 //! refresh study needs: the cache determines *which* addresses reach the
 //! DRAM behind it and *when* dirty lines come back.
+//!
+//! Line layout: each line is a raw tag word plus one state byte
+//! (`VALID | DIRTY`), both zero-initialised, so a fresh cache is two
+//! `alloc_zeroed` tables with no sentinel fill (fresh pages from the OS are
+//! not even touched until a line is). The validity bit cannot live inside
+//! the tag word: on the smallest legal shape (one set of 1 B lines) every
+//! `u64` address is its own tag, so any in-word sentinel would alias a real
+//! address. LRU stamps exist only when there is more than one way; a
+//! direct-mapped cache has no replacement choice to make.
 
 use crate::stats::CacheStats;
 
@@ -20,10 +29,11 @@ pub struct CacheResponse {
     pub fill: Option<u64>,
 }
 
-/// Tag sentinel for an invalid (never-filled) line. Unreachable as a real
-/// tag: `new` requires at least two lines, so `tag = addr / line / sets`
-/// can never reach `u64::MAX`.
-const INVALID_TAG: u64 = u64::MAX;
+/// State bit of a filled line. A zero state byte is an invalid
+/// (never-filled) line.
+const VALID: u8 = 1;
+/// State bit of a line written since its fill.
+const DIRTY: u8 = 2;
 
 /// A set-associative write-back, write-allocate cache with LRU replacement.
 ///
@@ -48,10 +58,11 @@ pub struct SetAssocCache {
     /// powers of two (every shipped config): set/tag extraction by
     /// shift/mask instead of 64-bit div/mod on the per-access path.
     shifts: Option<(u8, u8)>,
-    /// `tags[set * ways + way]`; [`INVALID_TAG`] = invalid.
+    /// `tags[set * ways + way]`; meaningful only while the line is valid.
     tags: Vec<u64>,
-    dirty: Vec<bool>,
-    /// Per-line LRU stamp; larger = more recent.
+    /// `state[set * ways + way]`: [`VALID`] | [`DIRTY`]; zero = invalid.
+    state: Vec<u8>,
+    /// Per-line LRU stamp, larger = more recent; empty when direct-mapped.
     stamps: Vec<u64>,
     clock: u64,
     stats: CacheStats,
@@ -95,9 +106,9 @@ impl SetAssocCache {
             ways,
             line_bytes,
             shifts,
-            tags: vec![INVALID_TAG; n],
-            dirty: vec![false; n],
-            stamps: vec![0; n],
+            tags: vec![0; n],
+            state: vec![0; n],
+            stamps: if ways > 1 { vec![0; n] } else { Vec::new() },
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -160,12 +171,13 @@ impl SetAssocCache {
         let tag = self.tag_of(addr);
         let base = (set * self.ways as u64) as usize;
         let slots = base..base + self.ways;
+        let dirty = if is_write { DIRTY } else { 0 };
 
         // Hit path.
         for i in slots.clone() {
-            if self.tags[i] == tag {
-                self.stamps[i] = self.clock;
-                self.dirty[i] |= is_write;
+            if self.tags[i] == tag && self.state[i] != 0 {
+                self.state[i] |= dirty;
+                self.touch(i);
                 self.stats.record(true, is_write, false);
                 return CacheResponse {
                     hit: true,
@@ -175,31 +187,39 @@ impl SetAssocCache {
             }
         }
 
-        // Miss: pick the first invalid way, else the LRU way. The slot
-        // range is never empty (`new` rejects zero ways), so the scan
-        // always lands on something.
+        // Miss: pick the first invalid way, else the LRU way; a
+        // direct-mapped set's only way is always the victim. The slot range
+        // is never empty (`new` rejects zero ways).
         let mut victim = slots.start;
-        for i in slots {
-            if self.tags[i] == INVALID_TAG {
-                victim = i;
-                break;
-            }
-            if self.stamps[i] < self.stamps[victim] {
-                victim = i;
+        if self.ways > 1 {
+            for i in slots {
+                if self.state[i] == 0 {
+                    victim = i;
+                    break;
+                }
+                if self.stamps[i] < self.stamps[victim] {
+                    victim = i;
+                }
             }
         }
-        let writeback = match (self.tags[victim], self.dirty[victim]) {
-            (old_tag, true) if old_tag != INVALID_TAG => Some(self.rebuild_addr(old_tag, set)),
-            _ => None,
-        };
+        let writeback =
+            (self.state[victim] & DIRTY != 0).then(|| self.rebuild_addr(self.tags[victim], set));
         self.tags[victim] = tag;
-        self.dirty[victim] = is_write;
-        self.stamps[victim] = self.clock;
+        self.state[victim] = VALID | dirty;
+        self.touch(victim);
         self.stats.record(false, is_write, writeback.is_some());
         CacheResponse {
             hit: false,
             writeback,
             fill: Some(self.line_addr(addr)),
+        }
+    }
+
+    /// Marks line `i` most recently used (a no-op when direct-mapped).
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        if self.ways > 1 {
+            self.stamps[i] = self.clock;
         }
     }
 
@@ -209,7 +229,7 @@ impl SetAssocCache {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         let base = (set * self.ways as u64) as usize;
-        (base..base + self.ways).any(|i| self.tags[i] == tag)
+        (base..base + self.ways).any(|i| self.tags[i] == tag && self.state[i] != 0)
     }
 }
 
@@ -293,6 +313,31 @@ mod tests {
         assert_eq!(l2.capacity_bytes(), 1 << 20);
         let l3 = SetAssocCache::new(64 << 20, 1, 64);
         assert_eq!(l3.sets(), 1 << 20);
+    }
+
+    #[test]
+    fn fresh_cache_misses_on_address_zero() {
+        // Tag 0 must never alias a never-filled line.
+        for (capacity, ways, line) in [(128, 1, 64), (2, 2, 1), (64 << 20, 1, 64)] {
+            let mut c = SetAssocCache::new(capacity, ways, line);
+            assert!(!c.probe(0));
+            let r = c.access(0, true);
+            assert!(!r.hit, "{capacity} B / {ways} ways");
+            assert_eq!((r.fill, r.writeback), (Some(0), None));
+            assert!(c.access(0, false).hit);
+        }
+    }
+
+    #[test]
+    fn top_of_address_space_is_a_real_tag() {
+        // One set of 1 B lines: every u64 is its own tag, u64::MAX included.
+        let mut c = SetAssocCache::new(2, 2, 1);
+        assert!(!c.probe(u64::MAX));
+        assert!(!c.access(u64::MAX, true).hit);
+        assert!(c.access(u64::MAX, false).hit);
+        assert!(!c.access(0, false).hit);
+        let r = c.access(1, false); // evicts the dirty LRU line u64::MAX
+        assert_eq!(r.writeback, Some(u64::MAX));
     }
 
     #[test]

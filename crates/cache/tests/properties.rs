@@ -13,6 +13,9 @@ struct ModelCache {
     line: u64,
     /// set -> most-recent-first list of (tag, dirty).
     state: HashMap<u64, Vec<(u64, bool)>>,
+    hits: u64,
+    misses: u64,
+    writebacks: u64,
 }
 
 impl ModelCache {
@@ -22,6 +25,9 @@ impl ModelCache {
             ways,
             line,
             state: HashMap::new(),
+            hits: 0,
+            misses: 0,
+            writebacks: 0,
         }
     }
 
@@ -33,6 +39,7 @@ impl ModelCache {
         if let Some(pos) = list.iter().position(|&(t, _)| t == tag) {
             let (t, d) = list.remove(pos);
             list.insert(0, (t, d || is_write));
+            self.hits += 1;
             return (true, None);
         }
         let mut wb = None;
@@ -43,36 +50,96 @@ impl ModelCache {
             }
         }
         list.insert(0, (tag, is_write));
+        self.misses += 1;
+        self.writebacks += u64::from(wb.is_some());
         (false, wb)
     }
 }
 
+/// Draws the address pool of one stream: few enough addresses that lines
+/// are reused, conflict and get written back, spread over the whole
+/// address space — low blocks, full-width random values, and the top
+/// 2^20 bytes, where tags are largest.
+fn draw_pool(rng: &mut Rng, size: usize) -> Vec<u64> {
+    (0..size)
+        .map(|_| match rng.gen_range(0u32..3) {
+            0 => rng.gen_range(0u64..1 << 17),
+            1 => rng.next_u64(),
+            _ => u64::MAX - rng.gen_range(0u64..1 << 20),
+        })
+        .collect()
+}
+
+/// An address stream that picks uniformly from `pool`.
+fn from_pool(pool: &[u64]) -> impl FnMut(&mut Rng) -> u64 + '_ {
+    |rng| pool[rng.gen_range(0usize..pool.len())]
+}
+
+/// Runs `n` accesses drawn by `draw` through a cache of the given shape
+/// and the reference model, asserting identical hits, fills, writebacks
+/// and statistics.
+fn check_shape(
+    rng: &mut Rng,
+    (capacity, ways, line): (u64, usize, u64),
+    n: usize,
+    mut draw: impl FnMut(&mut Rng) -> u64,
+) {
+    let mut dut = SetAssocCache::new(capacity, ways, line);
+    let mut model = ModelCache::new(capacity, ways, line);
+    let shape = format!("{capacity} B, {ways} ways, {line} B lines");
+    for _ in 0..n {
+        let addr = draw(rng);
+        let is_write = rng.gen_bool(0.5);
+        let got = dut.access(addr, is_write);
+        let (hit, wb) = model.access(addr, is_write);
+        assert_eq!(got.hit, hit, "hit mismatch at {addr:#x} ({shape})");
+        assert_eq!(
+            got.writeback, wb,
+            "writeback mismatch at {addr:#x} ({shape})"
+        );
+        let fill = (!hit).then_some(addr & !(line - 1));
+        assert_eq!(got.fill, fill, "fill mismatch at {addr:#x} ({shape})");
+    }
+    let s = dut.stats();
+    assert_eq!((s.hits, s.misses), (model.hits, model.misses), "{shape}");
+    assert_eq!(s.writebacks, model.writebacks, "{shape}");
+}
+
 /// The LRU set-associative cache agrees with the reference model on
-/// every access outcome and every writeback, for arbitrary streams.
+/// every access outcome, fill and writeback, for arbitrary streams.
 #[test]
 fn cache_matches_reference_model() {
     let mut rng = Rng::seed_from_u64(0xcac4_0001);
     for &ways in &[1usize, 2, 4, 8, 16] {
+        let shape = (64 * 16, ways, 64); // 16 lines
         for _ in 0..8 {
-            let capacity = 64 * 16; // 16 lines
-            let mut dut = SetAssocCache::new(capacity, ways, 64);
-            let mut model = ModelCache::new(capacity, ways, 64);
             let n = rng.gen_range(1usize..400);
-            for _ in 0..n {
+            check_shape(&mut rng, shape, n, |rng| {
                 let block = rng.gen_range(0u64..2048);
-                let is_write = rng.gen_bool(0.5);
-                let addr = block * 64 + (block % 64); // arbitrary offset in line
-                let got = dut.access(addr, is_write);
-                let (hit, wb) = model.access(addr, is_write);
-                assert_eq!(got.hit, hit, "hit mismatch at {addr:#x} ({ways} ways)");
-                assert_eq!(
-                    got.writeback, wb,
-                    "writeback mismatch at {addr:#x} ({ways} ways)"
-                );
-                assert_eq!(got.fill.is_some(), !hit);
+                block * 64 + (block % 64) // arbitrary offset in line
+            });
+            // The same shape over the whole address space.
+            let pool = draw_pool(&mut rng, 48);
+            check_shape(&mut rng, shape, 400, from_pool(&pool));
+        }
+    }
+    // The smallest legal shapes: two lines, where a tag can span (almost)
+    // the whole 64-bit address.
+    for line in [1u64, 2, 64] {
+        for ways in [1usize, 2] {
+            for _ in 0..8 {
+                let pool = draw_pool(&mut rng, 6);
+                check_shape(&mut rng, (2 * line, ways, line), 300, from_pool(&pool));
             }
         }
     }
+    // The Table 2 shape: 64 MiB direct-mapped, with aliases one capacity
+    // apart so slots conflict.
+    let mut pool = draw_pool(&mut rng, 64);
+    for i in 0..64 {
+        pool.push(pool[i].wrapping_add(64 << 20));
+    }
+    check_shape(&mut rng, (64 << 20, 1, 64), 4000, from_pool(&pool));
 }
 
 /// probe() never disturbs state: interleaving probes changes nothing.
