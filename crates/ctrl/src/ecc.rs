@@ -8,7 +8,8 @@
 
 use std::collections::BTreeSet;
 
-use smartrefresh_dram::time::Duration;
+use smartrefresh_dram::time::{Duration, Instant};
+use smartrefresh_dram::RetentionTracker;
 use smartrefresh_ecc::EccMemory;
 
 use crate::scrub::{PatrolScrubber, ScrubConfig};
@@ -107,6 +108,53 @@ impl EccLayer {
             flips_seeded: false,
             guard: cfg.guard,
             ce_log: cfg.export_ces.then(Vec::new),
+        }
+    }
+
+    /// The patrol slot due by `t` and the deadline-order victim to scrub
+    /// in it; `None` when scrubbing is off or no slot is due yet.
+    pub(crate) fn due_scrub(
+        &self,
+        t: Instant,
+        tracker: &RetentionTracker,
+    ) -> Option<(Instant, Option<u64>)> {
+        let s = self.scrubber.as_ref().filter(|s| s.next_slot() <= t)?;
+        Some((s.next_slot(), s.pick_victim(tracker)))
+    }
+
+    /// Moves the patrol clock past a processed slot.
+    pub(crate) fn finish_scrub_slot(&mut self, slot: Instant) {
+        if let Some(s) = self.scrubber.as_mut() {
+            s.advance_past(slot);
+        }
+    }
+
+    /// Runs the watchdog audit due by `t`: its epoch and the rows it
+    /// flagged for a forced scrub; `None` when the watchdog is off or no
+    /// epoch is due yet.
+    pub(crate) fn due_audit(&mut self, t: Instant) -> Option<(Instant, Vec<u64>)> {
+        let w = self.watchdog.as_mut().filter(|w| w.next_epoch() <= t)?;
+        let epoch = w.next_epoch();
+        Some((epoch, w.audit(epoch)))
+    }
+
+    /// Whether the watchdog's violations persisted past its escalation
+    /// limit.
+    pub(crate) fn should_escalate(&self) -> bool {
+        self.watchdog
+            .as_ref()
+            .is_some_and(RetentionWatchdog::should_escalate)
+    }
+
+    /// Wake from a CKE-low window the counters did not survive: the patrol
+    /// slot and the watchdog audit, derived from pre-sleep bookkeeping,
+    /// are pulled forward to `woke`.
+    pub(crate) fn note_wake(&mut self, woke: Instant) {
+        if let Some(s) = self.scrubber.as_mut() {
+            s.tighten_deadline(woke);
+        }
+        if let Some(w) = self.watchdog.as_mut() {
+            w.note_wake(woke);
         }
     }
 }

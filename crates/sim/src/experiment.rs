@@ -16,7 +16,7 @@ use smartrefresh_ctrl::{
 };
 use smartrefresh_dram::profile::RetentionProfile;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, ModuleConfig, OpStats};
+use smartrefresh_dram::{ModuleConfig, OpStats};
 use smartrefresh_energy::{
     BusEnergyModel, DramPowerParams, EccLogicModel, EnergyBreakdown, SramArrayModel,
 };
@@ -404,10 +404,7 @@ where
 {
     assert!(!cfg.measure.is_zero(), "measurement span must be positive");
     let module = &cfg.module;
-    let mut device = DramDevice::new(module.geometry, module.timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
+    let mut device = crate::sanitize::device(module.geometry, module.timing);
     if let Some(seed) = cfg.policy.profile_seed() {
         // Integrity is validated against the same variable-retention
         // profile the policy exploits.

@@ -17,13 +17,11 @@
 //!
 //! [`RetentionTracker`]: smartrefresh_dram::RetentionTracker
 
-use smartrefresh_core::{
-    DegradationEvent, HysteresisConfig, RefreshPolicy, SmartRefresh, SmartRefreshConfig,
-};
+use smartrefresh_core::{DegradationEvent, RefreshPolicy, SmartRefresh, SmartRefreshConfig};
 use smartrefresh_ctrl::{MemTransaction, MemoryController, SimError};
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, Geometry, ModuleConfig, RowAddr};
+use smartrefresh_dram::{Geometry, ModuleConfig, RowAddr};
 use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec, FaultStats};
 
 /// What a scenario must demonstrate to pass.
@@ -261,20 +259,12 @@ pub fn run_scenario(
 ) -> Result<ScenarioOutcome, SimError> {
     let g = cfg.module.geometry;
     let timing = cfg.module.timing;
-    let policy = SmartRefresh::new(
-        g,
-        timing.retention,
-        SmartRefreshConfig {
-            counter_bits: 3,
-            segments: 8,
-            queue_capacity: scenario.queue_capacity,
-            hysteresis: Some(HysteresisConfig::paper_defaults()),
-        },
-    );
-    let mut device = DramDevice::new(g, timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
+    let smart = SmartRefreshConfig {
+        queue_capacity: scenario.queue_capacity,
+        ..SmartRefreshConfig::paper_defaults()
+    };
+    let policy = SmartRefresh::new(g, timing.retention, smart);
+    let device = crate::sanitize::device(g, timing);
     let mut mc =
         MemoryController::new(device, policy).with_fault_injector(scenario.injector.clone());
 

@@ -21,8 +21,8 @@
 //! exits nonzero when any expectation fails.
 
 use smartrefresh_core::{
-    CounterPowerConfig, CounterPowerPolicy, DegradeCause, HysteresisConfig, RefreshPolicy,
-    SmartRefresh, SmartRefreshConfig,
+    CounterPowerConfig, CounterPowerPolicy, DegradeCause, RefreshPolicy, SmartRefresh,
+    SmartRefreshConfig,
 };
 use smartrefresh_ctrl::{
     ControllerStats, EccConfig, MemTransaction, MemoryController, PowerDownConfig, ScrubConfig,
@@ -30,20 +30,17 @@ use smartrefresh_ctrl::{
 };
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::DramDevice;
 use smartrefresh_energy::SramArrayModel;
 
 use crate::faults::{addr_of, CampaignConfig};
 
-/// Counter bits used by every campaign controller (the paper's 3-bit
-/// configuration).
-const COUNTER_BITS: u32 = 3;
-
 /// An honestly-priced persistent configuration for `geometry`: retention
 /// power is the Artisan-90nm leakage of the counter array
-/// ([`CounterPowerConfig::RETENTION_W_PER_KB`] × the array's `area_kb()`).
+/// ([`CounterPowerConfig::RETENTION_W_PER_KB`] × the array's `area_kb()`)
+/// at the campaign controllers' paper-default counter width.
 pub fn priced_persistent(geometry: &smartrefresh_dram::Geometry) -> CounterPowerConfig {
-    let sram = SramArrayModel::artisan_90nm(geometry, COUNTER_BITS);
+    let bits = SmartRefreshConfig::paper_defaults().counter_bits;
+    let sram = SramArrayModel::artisan_90nm(geometry, bits);
     CounterPowerConfig::persistent(CounterPowerConfig::RETENTION_W_PER_KB * sram.area_kb())
 }
 
@@ -176,20 +173,8 @@ fn controller(
     let g = cfg.module.geometry;
     let timing = cfg.module.timing;
     let retention = timing.retention;
-    let policy = SmartRefresh::new(
-        g,
-        retention,
-        SmartRefreshConfig {
-            counter_bits: COUNTER_BITS,
-            segments: 8,
-            queue_capacity: 8,
-            hysteresis: Some(HysteresisConfig::paper_defaults()),
-        },
-    );
-    let mut device = DramDevice::new(g, timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
+    let policy = SmartRefresh::new(g, retention, SmartRefreshConfig::paper_defaults());
+    let device = crate::sanitize::device(g, timing);
     // ECC with a covering patrol scrub and a retention-scaled watchdog so
     // the conservative-reset wake path exercises both tighten hooks.
     let ecc = EccConfig::new(cfg.seed)
@@ -324,6 +309,10 @@ mod tests {
             assert!(o.powerdown_windows > 0, "{}: idle gaps credited", o.policy);
         }
         assert!(result.all_hold(), "campaign contract: {result:?}");
+        // Pin the rendered report text: a changed digit or line fails here.
+        let mut d = crate::digest::Digest64::new();
+        d.update_str(&crate::report::render_powerdown_campaign(&result));
+        assert_eq!(d.finish(), 0xd2c7_8363_496f_ab34);
     }
 
     #[test]

@@ -22,15 +22,14 @@
 //! the expectations (including seed determinism) in CI.
 
 use smartrefresh_core::{
-    DegradationEvent, DegradeCause, HysteresisConfig, RefreshPolicy, SmartRefresh,
-    SmartRefreshConfig,
+    DegradationEvent, DegradeCause, RefreshPolicy, SmartRefresh, SmartRefreshConfig,
 };
 use smartrefresh_ctrl::{
     EccConfig, MemTransaction, MemoryController, RfmConfig, RfmEngineStats, RfmLevel, ScrubConfig,
     SimError,
 };
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, Geometry, ModuleConfig, RowAddr};
+use smartrefresh_dram::{Geometry, ModuleConfig, RowAddr};
 use smartrefresh_energy::DramPowerParams;
 use smartrefresh_faults::{FaultInjector, FaultSite};
 use smartrefresh_workloads::{HammerGenerator, HammerPattern, HammerSpec, TraceEvent};
@@ -245,20 +244,8 @@ pub fn run_rfm_scenario(
 ) -> Result<RfmOutcome, SimError> {
     let g = cfg.module.geometry;
     let timing = cfg.module.timing;
-    let policy = SmartRefresh::new(
-        g,
-        timing.retention,
-        SmartRefreshConfig {
-            counter_bits: 3,
-            segments: 8,
-            queue_capacity: 8,
-            hysteresis: Some(HysteresisConfig::paper_defaults()),
-        },
-    );
-    let mut device = DramDevice::new(g, timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
+    let policy = SmartRefresh::new(g, timing.retention, SmartRefreshConfig::paper_defaults());
+    let device = crate::sanitize::device(g, timing);
     let mut mc = MemoryController::new(device, policy)
         .with_ecc(
             EccConfig::new(cfg.seed)

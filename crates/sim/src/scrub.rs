@@ -20,15 +20,14 @@
 //! scenario fails; `crates/sim/tests/scrub.rs` pins the expectations.
 
 use smartrefresh_core::{
-    DegradationEvent, DegradeCause, HysteresisConfig, RefreshPolicy, SmartRefresh,
-    SmartRefreshConfig,
+    DegradationEvent, DegradeCause, RefreshPolicy, SmartRefresh, SmartRefreshConfig,
 };
 use smartrefresh_ctrl::{
     EccConfig, MemTransaction, MemoryController, ScrubConfig, SimError, WatchdogConfig,
 };
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, RowAddr};
+use smartrefresh_dram::RowAddr;
 use smartrefresh_energy::DramPowerParams;
 use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec};
 
@@ -255,20 +254,8 @@ fn controller(
 ) -> MemoryController<SmartRefresh> {
     let g = cfg.module.geometry;
     let timing = cfg.module.timing;
-    let policy = SmartRefresh::new(
-        g,
-        timing.retention,
-        SmartRefreshConfig {
-            counter_bits: 3,
-            segments: 8,
-            queue_capacity: 8,
-            hysteresis: Some(HysteresisConfig::paper_defaults()),
-        },
-    );
-    let mut device = DramDevice::new(g, timing);
-    if crate::sanitize::sanitize_from_env() {
-        device.enable_protocol_checker();
-    }
+    let policy = SmartRefresh::new(g, timing.retention, SmartRefreshConfig::paper_defaults());
+    let device = crate::sanitize::device(g, timing);
     MemoryController::new(device, policy)
         .with_fault_injector(injector)
         .with_ecc(ecc)

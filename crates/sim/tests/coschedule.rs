@@ -8,6 +8,8 @@ use smartrefresh_dram::rng::Rng;
 use smartrefresh_sim::coschedule::{
     run_coschedule_campaign, run_coschedule_setup, CoscheduleConfig, Load, Setup,
 };
+use smartrefresh_sim::digest::Digest64;
+use smartrefresh_sim::report::render_coschedule;
 use smartrefresh_sim::system::MultiChannelSystem;
 use smartrefresh_sim::PolicyKind;
 
@@ -163,4 +165,14 @@ fn campaign_holds_and_is_deterministic() {
             x.forced_out_of_slack + x.forced_no_idle_bank
         );
     }
+    assert_eq!(render_coschedule(&a), render_coschedule(&b));
+    assert_eq!(report_digest(&render_coschedule(&a)), 0x0269_b76c_189a_9e3c);
+}
+
+/// FNV-1a digest of a rendered campaign report, pinned so any change to
+/// the report text (a digit, a label, a line) fails the test.
+fn report_digest(text: &str) -> u64 {
+    let mut d = Digest64::new();
+    d.update_str(text);
+    d.finish()
 }

@@ -4,9 +4,11 @@
 
 use smartrefresh_core::DegradeCause;
 use smartrefresh_dram::time::Duration;
+use smartrefresh_sim::digest::Digest64;
 use smartrefresh_sim::faults::{
     run_campaign, run_scenario, standard_campaign, CampaignConfig, Expectation,
 };
+use smartrefresh_sim::report::render_campaign;
 
 fn cfg() -> CampaignConfig {
     CampaignConfig::quick(0xfa17_0001)
@@ -98,6 +100,16 @@ fn campaign_is_deterministic_for_a_fixed_seed() {
         assert_eq!(x.late_restores, y.late_restores);
         assert_eq!(x.end_violations, y.end_violations);
     }
+    assert_eq!(render_campaign(&a), render_campaign(&b));
+    assert_eq!(report_digest(&render_campaign(&a)), 0x194e_6106_f28c_b2b0);
+}
+
+/// FNV-1a digest of a rendered campaign report, pinned so any change to
+/// the report text (a digit, a label, a line) fails the test.
+fn report_digest(text: &str) -> u64 {
+    let mut d = Digest64::new();
+    d.update_str(text);
+    d.finish()
 }
 
 /// A fault-free run under the same harness shows neither degradation nor

@@ -3,6 +3,7 @@
 //! the livelock regression (pinned pages on every bank must never cost a
 //! coverage promise), and thread-count determinism of the whole report.
 
+use smartrefresh_sim::digest::Digest64;
 use smartrefresh_sim::hotchannel::{
     run_hot_channel_campaign, run_hot_channel_campaign_threaded, run_hot_channel_setup,
     HotChannelConfig, HotSetup,
@@ -93,4 +94,13 @@ fn campaign_report_is_identical_across_thread_counts() {
         let got = render_hotchannel(&run_hot_channel_campaign_threaded(&c, threads).unwrap());
         assert_eq!(got, reference, "report differs at {threads} threads");
     }
+    assert_eq!(report_digest(&reference), 0x6828_0fc4_eec3_872f);
+}
+
+/// FNV-1a digest of a rendered campaign report, pinned so any change to
+/// the report text (a digit, a label, a line) fails the test.
+fn report_digest(text: &str) -> u64 {
+    let mut d = Digest64::new();
+    d.update_str(text);
+    d.finish()
 }

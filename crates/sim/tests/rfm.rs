@@ -4,6 +4,8 @@
 //! exhaustion, and seed determinism of the whole harness.
 
 use smartrefresh_core::DegradeCause;
+use smartrefresh_sim::digest::Digest64;
+use smartrefresh_sim::report::render_rfm;
 use smartrefresh_sim::rfm::{
     rfm_threshold_sweep, run_rfm_campaign, RfmCampaignConfig, RfmCampaignResult,
 };
@@ -94,6 +96,16 @@ fn campaign_is_seed_deterministic() {
         assert_eq!(x.degradations.len(), y.degradations.len());
         assert_eq!(x.rfm_stats, y.rfm_stats);
     }
+    assert_eq!(render_rfm(&a), render_rfm(&b));
+    assert_eq!(report_digest(&render_rfm(&a)), 0xac6e_d126_a7df_60a3);
+}
+
+/// FNV-1a digest of a rendered campaign report, pinned so any change to
+/// the report text (a digit, a label, a line) fails the test.
+fn report_digest(text: &str) -> u64 {
+    let mut d = Digest64::new();
+    d.update_str(text);
+    d.finish()
 }
 
 /// The RAAIMT sweep exposes the protection-vs-energy tradeoff: the

@@ -4,6 +4,8 @@
 
 use smartrefresh_core::DegradeCause;
 use smartrefresh_energy::DramPowerParams;
+use smartrefresh_sim::digest::Digest64;
+use smartrefresh_sim::report::render_scrub_campaign;
 use smartrefresh_sim::scrub::{
     run_scrub_campaign, run_scrub_scenario, scrub_savings, standard_scrub_campaign, ScrubScenario,
 };
@@ -101,4 +103,17 @@ fn scrub_campaign_holds_and_is_deterministic() {
         b.savings.refreshes_with_scrub
     );
     assert_eq!(a.savings.refreshes_no_scrub, b.savings.refreshes_no_scrub);
+    assert_eq!(render_scrub_campaign(&a), render_scrub_campaign(&b));
+    assert_eq!(
+        report_digest(&render_scrub_campaign(&a)),
+        0x4dd7_429e_59d6_96b8
+    );
+}
+
+/// FNV-1a digest of a rendered campaign report, pinned so any change to
+/// the report text (a digit, a label, a line) fails the test.
+fn report_digest(text: &str) -> u64 {
+    let mut d = Digest64::new();
+    d.update_str(text);
+    d.finish()
 }
