@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the hot components: the counter array and stagger
 //! walk (executed millions of times per simulated second), the pending
 //! queue, the DRAM command layer, the workload generator, the stacked-DRAM
-//! L3 cache, and the end-to-end controller access path.
+//! L3 cache, the SECDED read path, the scrubber's deadline-order victim
+//! query, and the end-to-end controller access path.
 //!
 //! A self-contained `harness = false` timing loop (no external benchmark
 //! framework, so the workspace builds offline): each benchmark is warmed
@@ -16,7 +17,8 @@ use smartrefresh_core::{
 };
 use smartrefresh_ctrl::{MemTransaction, MemoryController};
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, Geometry, RowAddr, TimingParams};
+use smartrefresh_dram::{DramDevice, Geometry, RetentionTracker, RowAddr, TimingParams};
+use smartrefresh_ecc::EccMemory;
 use smartrefresh_workloads::{find, AccessGenerator};
 
 /// Unwraps a bench-step result without panicking machinery: a failure
@@ -194,6 +196,40 @@ fn bench_stacked_cache() {
     });
 }
 
+fn bench_ecc() {
+    let clean = EccMemory::new(1);
+    let mut flat = 0u64;
+    bench("ecc/read_clean", 2_000_000, || {
+        flat = (flat + 1) % 1024;
+        std::hint::black_box(clean.read(std::hint::black_box(flat)));
+    });
+    // One flip per row: every read is a corrected error.
+    let mut flipped = EccMemory::new(2);
+    for row in 0..1024 {
+        flipped.inject_flips(row, 1);
+    }
+    let mut flat = 0u64;
+    bench("ecc/read_flipped", 2_000_000, || {
+        flat = (flat + 1) % 1024;
+        std::hint::black_box(flipped.read(std::hint::black_box(flat)));
+    });
+}
+
+fn bench_retention_victim() {
+    // 1024 rows; restores land on scattered rows (stride 389 is coprime
+    // to 1024), each followed by the patrol scrubber's victim query.
+    let geometry = Geometry::new(1, 8, 128, 4, 64);
+    let mut tracker = RetentionTracker::new(&geometry, Duration::from_ms(64));
+    let mut now = Instant::ZERO;
+    let mut flat = 0u64;
+    bench("retention/restore_then_earliest_1k", 500_000, || {
+        now += Duration::from_ns(100);
+        flat = (flat + 389) % 1024;
+        tracker.restore(flat, now);
+        std::hint::black_box(tracker.earliest_deadline_row());
+    });
+}
+
 fn bench_controller_access() {
     let geometry = Geometry::new(2, 4, 16384, 2048, 64);
     let timing = TimingParams::ddr2_667();
@@ -230,5 +266,7 @@ fn main() {
     bench_generator();
     bench_smart_policy_tick();
     bench_stacked_cache();
+    bench_ecc();
+    bench_retention_victim();
     bench_controller_access();
 }

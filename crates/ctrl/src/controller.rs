@@ -616,7 +616,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
         while let Some((slot, victim)) = self
             .ecc
             .as_ref()
-            .and_then(|l| l.due_scrub(t, self.device.retention()))
+            .and_then(|l| l.due_scrub(t, self.device.retention_mut()))
         {
             if let Some(flat) = victim {
                 self.scrub_one(flat, slot, false)?;
@@ -1001,9 +1001,6 @@ impl<P: RefreshPolicy> MemoryController<P> {
         let Some(inj) = self.faults.as_mut() else {
             return;
         };
-        if !inj.has_disturbance() {
-            return;
-        }
         let flips = inj.note_activation(&geometry, aggressor, now);
         if flips.is_empty() {
             return;

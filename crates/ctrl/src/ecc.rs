@@ -116,10 +116,10 @@ impl EccLayer {
     pub(crate) fn due_scrub(
         &self,
         t: Instant,
-        tracker: &RetentionTracker,
+        tracker: &mut RetentionTracker,
     ) -> Option<(Instant, Option<u64>)> {
         let s = self.scrubber.as_ref().filter(|s| s.next_slot() <= t)?;
-        Some((s.next_slot(), s.pick_victim(tracker)))
+        Some((s.next_slot(), tracker.earliest_deadline_row()))
     }
 
     /// Moves the patrol clock past a processed slot.

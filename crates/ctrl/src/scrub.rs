@@ -14,9 +14,15 @@
 //! first. This makes the scrubber chase exactly the rows the refresh
 //! schedule is about to service, which maximises the counter-reset savings
 //! and reaches weak (tight-deadline) rows before they decay further.
+//!
+//! The victim comes from the device's own
+//! [`RetentionTracker::earliest_deadline_row`](smartrefresh_dram::RetentionTracker::earliest_deadline_row):
+//! the first slot builds a tournament tree over `(deadline, row)` keys,
+//! every restore and deadline change after that re-keys one leaf in
+//! O(log rows), and each slot reads the root in O(1) instead of scanning
+//! every row. Ties go to the lower flat index.
 
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::RetentionTracker;
 
 /// Patrol scrub schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,26 +130,12 @@ impl PatrolScrubber {
             self.next_slot = t;
         }
     }
-
-    /// Picks the scrub victim in deadline order: the flat row index whose
-    /// retention deadline (`last_restore + row_deadline`) expires soonest.
-    /// Ties break toward the lower index. `None` for an empty tracker.
-    pub fn pick_victim(&self, tracker: &RetentionTracker) -> Option<u64> {
-        let mut best: Option<(Instant, u64)> = None;
-        for flat in 0..tracker.len() as u64 {
-            let deadline = tracker.last_restore(flat) + tracker.row_deadline(flat);
-            if best.is_none_or(|(d, _)| deadline < d) {
-                best = Some((deadline, flat));
-            }
-        }
-        best.map(|(_, flat)| flat)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartrefresh_dram::Geometry;
+    use smartrefresh_dram::{Geometry, RetentionTracker};
 
     #[test]
     fn covering_divides_the_window() {
@@ -209,15 +201,12 @@ mod tests {
         let g = Geometry::new(1, 1, 8, 4, 64);
         let mut tracker = RetentionTracker::new(&g, Duration::from_ms(64));
         // All rows restored at t=0 with equal deadlines: row 0 wins the tie.
-        let s = PatrolScrubber::new(ScrubConfig {
-            interval: Duration::from_us(1),
-        });
-        assert_eq!(s.pick_victim(&tracker), Some(0));
+        assert_eq!(tracker.earliest_deadline_row(), Some(0));
         // Tighten row 5's deadline: it becomes the victim.
         tracker.set_row_deadline(5, Duration::from_ms(4));
-        assert_eq!(s.pick_victim(&tracker), Some(5));
+        assert_eq!(tracker.earliest_deadline_row(), Some(5));
         // Restore row 5 recently enough and row 0 leads again.
         tracker.restore(5, Instant::ZERO + Duration::from_ms(61));
-        assert_eq!(s.pick_victim(&tracker), Some(0));
+        assert_eq!(tracker.earliest_deadline_row(), Some(0));
     }
 }

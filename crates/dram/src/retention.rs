@@ -50,6 +50,13 @@ pub struct RetentionTracker {
     /// data-loss window that actually happened (the row sat decayed until
     /// this restore rewrote it). Detected inline, O(1) per restore.
     late_restores: Vec<LateRestore>,
+    /// Tournament tree over `(last_restore + row_deadline, flat)`, built by
+    /// the first [`earliest_deadline_row`] query and kept current by every
+    /// mutation after it. `None` until then, so a tracker nobody asks for
+    /// the earliest deadline pays one branch per restore.
+    ///
+    /// [`earliest_deadline_row`]: RetentionTracker::earliest_deadline_row
+    deadline_index: Option<DeadlineIndex>,
 }
 
 /// One detected data-loss window: a restore that arrived after the row's
@@ -93,6 +100,7 @@ impl RetentionTracker {
             interval_hist: vec![0; buckets],
             restores: 0,
             late_restores: Vec::new(),
+            deadline_index: None,
         }
     }
 
@@ -120,6 +128,7 @@ impl RetentionTracker {
                 .map(|m| Duration::from_ps(base.as_ps() << m))
                 .collect(),
         );
+        self.rebuild_index();
     }
 
     /// The deadline for a specific row (the base retention unless a profile
@@ -151,6 +160,10 @@ impl RetentionTracker {
             .per_row
             .get_or_insert_with(|| vec![self.retention; self.last_restore.len()]);
         per_row[flat_index as usize] = deadline;
+        if let Some(index) = &mut self.deadline_index {
+            let flat = flat_index as usize;
+            index.set(flat, self.last_restore[flat] + deadline);
+        }
     }
 
     /// Uniformly scales every row's deadline by `factor` (e.g. thermal
@@ -171,6 +184,7 @@ impl RetentionTracker {
                 *d = scale(*d);
             }
         }
+        self.rebuild_index();
     }
 
     /// Number of rows tracked.
@@ -211,7 +225,37 @@ impl RetentionTracker {
                 at: now,
             });
         }
+        if let Some(index) = &mut self.deadline_index {
+            index.set(flat_index as usize, now + deadline);
+        }
         Some(interval)
+    }
+
+    /// The flat row whose retention deadline (`last_restore +
+    /// row_deadline`) expires soonest, ties broken toward the lower index;
+    /// `None` for an empty tracker. This is the patrol scrubber's
+    /// deadline-order victim.
+    ///
+    /// The first call builds a deadline index in O(rows); every later
+    /// restore or deadline change keeps it current in O(log rows), so each
+    /// query after the first is O(1).
+    pub fn earliest_deadline_row(&mut self) -> Option<u64> {
+        if self.deadline_index.is_none() {
+            self.deadline_index = Some(DeadlineIndex::build(self.deadlines()));
+        }
+        self.deadline_index.as_ref().and_then(DeadlineIndex::min)
+    }
+
+    /// Every row's current deadline instant, in flat order.
+    fn deadlines(&self) -> impl ExactSizeIterator<Item = Instant> + '_ {
+        (0..self.last_restore.len()).map(|i| self.last_restore[i] + self.row_deadline(i as u64))
+    }
+
+    /// Re-keys every row in the deadline index, if it has been built.
+    fn rebuild_index(&mut self) {
+        if self.deadline_index.is_some() {
+            self.deadline_index = Some(DeadlineIndex::build(self.deadlines()));
+        }
     }
 
     /// Every data-loss window detected so far: restores that arrived after
@@ -278,6 +322,51 @@ impl RetentionTracker {
             } else {
                 mean_ps / self.retention.as_ps() as f64
             },
+        }
+    }
+}
+
+/// A tournament (winner) tree over `(deadline, flat)` keys: leaves hold
+/// the rows in flat order, padded to a power of two with keys that never
+/// win, and every inner node holds the smaller of its two children. The
+/// root is the earliest deadline with ties to the lowest row; re-keying a
+/// leaf replays only the matches on its path to the root.
+#[derive(Debug, Clone)]
+struct DeadlineIndex {
+    /// `nodes[1]` is the root; the leaves start at `nodes.len() / 2`.
+    nodes: Vec<(Instant, u64)>,
+}
+
+impl DeadlineIndex {
+    /// Key of a padding leaf: later than every real deadline.
+    const PAD: (Instant, u64) = (Instant::MAX, u64::MAX);
+
+    fn build(deadlines: impl ExactSizeIterator<Item = Instant>) -> Self {
+        let leaves = deadlines.len().next_power_of_two();
+        let mut nodes = vec![Self::PAD; 2 * leaves];
+        for (i, (slot, deadline)) in nodes[leaves..].iter_mut().zip(deadlines).enumerate() {
+            *slot = (deadline, i as u64);
+        }
+        for n in (1..leaves).rev() {
+            nodes[n] = nodes[2 * n].min(nodes[2 * n + 1]);
+        }
+        DeadlineIndex { nodes }
+    }
+
+    /// The winning row; `None` when the tree holds no rows.
+    fn min(&self) -> Option<u64> {
+        self.nodes
+            .get(1)
+            .filter(|&&key| key != Self::PAD)
+            .map(|&(_, flat)| flat)
+    }
+
+    fn set(&mut self, flat: usize, deadline: Instant) {
+        let mut n = self.nodes.len() / 2 + flat;
+        self.nodes[n] = (deadline, flat as u64);
+        while n > 1 {
+            n /= 2;
+            self.nodes[n] = self.nodes[2 * n].min(self.nodes[2 * n + 1]);
         }
     }
 }
@@ -405,6 +494,112 @@ mod tests {
     fn set_row_deadline_checks_bounds() {
         let mut t = RetentionTracker::new(&small(), Duration::from_ms(64));
         t.set_row_deadline(999, Duration::from_ms(1));
+    }
+
+    /// The linear scan the deadline index replaced: the oracle for
+    /// [`RetentionTracker::earliest_deadline_row`].
+    fn scan_earliest(t: &RetentionTracker) -> Option<u64> {
+        (0..t.len() as u64).min_by_key(|&i| (t.last_restore(i) + t.row_deadline(i), i))
+    }
+
+    #[test]
+    fn earliest_deadline_row_matches_the_scan() {
+        use crate::profile::RetentionProfile;
+        use crate::rng::Rng;
+
+        // 3 banks x 37 rows: 111 rows, not a power of two.
+        let g = Geometry::new(1, 3, 37, 4, 64);
+        let rows = g.total_rows();
+        let mut rng = Rng::seed_from_u64(0x0dea_d11e);
+        // `eager` is queried from the start; `lazy` builds its index only
+        // halfway through the same sequence.
+        let mut eager = RetentionTracker::new(&g, Duration::from_ms(64));
+        let mut lazy = eager.clone();
+        assert_eq!(
+            eager.earliest_deadline_row(),
+            Some(0),
+            "all rows tie at t=0"
+        );
+        let mut now = Instant::ZERO;
+        for step in 0..3_000 {
+            let row = rng.gen_range(0..rows);
+            let base = eager.retention();
+            match rng.gen_range(0u32..8) {
+                0 | 1 => {
+                    now += Duration::from_us(rng.gen_range(0..2_000));
+                    for t in [&mut eager, &mut lazy] {
+                        t.restore(row, now);
+                    }
+                }
+                2 => {
+                    // Out of order: may land before the row's last restore.
+                    let back = Duration::from_us(rng.gen_range(0..5_000));
+                    let at = Instant::ZERO + now.saturating_since(Instant::ZERO + back);
+                    for t in [&mut eager, &mut lazy] {
+                        t.restore(row, at);
+                    }
+                }
+                3 | 4 => {
+                    // Tighter or looser than the base retention.
+                    let d = Duration::from_ps(rng.gen_range(1..2 * base.as_ps()));
+                    for t in [&mut eager, &mut lazy] {
+                        t.set_row_deadline(row, d);
+                    }
+                }
+                5 => {
+                    // Forced tie: a second row copies this row's restore
+                    // instant and deadline.
+                    let other = rng.gen_range(0..rows);
+                    now += Duration::from_us(1);
+                    for t in [&mut eager, &mut lazy] {
+                        let d = t.row_deadline(row);
+                        t.set_row_deadline(other, d);
+                        t.restore(row, now);
+                        t.restore(other, now);
+                    }
+                }
+                6 => {
+                    // Shrink long deadlines and stretch short ones, so the
+                    // base stays near 64 ms however the draws fall.
+                    let pick = rng.gen_range(0..2usize);
+                    let factor = if base > Duration::from_ms(64) {
+                        [0.5, 0.75][pick]
+                    } else {
+                        [1.25, 2.0][pick]
+                    };
+                    for t in [&mut eager, &mut lazy] {
+                        t.scale_deadlines(factor);
+                    }
+                }
+                _ => {
+                    let profile = RetentionProfile::rapid_like(rows, rng.next_u64());
+                    for t in [&mut eager, &mut lazy] {
+                        t.apply_profile(&profile);
+                    }
+                }
+            }
+            assert_eq!(
+                eager.earliest_deadline_row(),
+                scan_earliest(&eager),
+                "step {step}"
+            );
+            if step >= 1_500 {
+                assert_eq!(
+                    lazy.earliest_deadline_row(),
+                    scan_earliest(&lazy),
+                    "step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn earliest_deadline_row_of_tiny_trackers() {
+        let one = Geometry::new(1, 1, 1, 4, 64);
+        let mut t = RetentionTracker::new(&one, Duration::from_ms(64));
+        assert_eq!(t.earliest_deadline_row(), Some(0));
+        t.restore(0, Instant::ZERO + Duration::from_ms(3));
+        assert_eq!(t.earliest_deadline_row(), Some(0));
     }
 
     #[test]

@@ -598,8 +598,9 @@ impl FaultInjector {
         ))
     }
 
-    /// True when any [`FaultKind::Disturbance`] spec exists (lets the
-    /// controller skip the per-ACT hook entirely otherwise).
+    /// True when any [`FaultKind::Disturbance`] spec exists;
+    /// [`note_activation`](FaultInjector::note_activation) returns at once
+    /// otherwise.
     pub fn has_disturbance(&self) -> bool {
         self.specs
             .iter()
