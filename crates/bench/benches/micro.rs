@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the hot components: the counter array and stagger
 //! walk (executed millions of times per simulated second), the pending
 //! queue, the DRAM command layer, the workload generator, the stacked-DRAM
-//! L3 cache, the SECDED read path, the scrubber's deadline-order victim
-//! query, and the end-to-end controller access path.
+//! L3 cache, the SECDED read path, the hammer-pressure ACT hook, the
+//! scrubber's deadline-order victim query, and the end-to-end controller
+//! access path.
 //!
 //! A self-contained `harness = false` timing loop (no external benchmark
 //! framework, so the workspace builds offline): each benchmark is warmed
@@ -19,6 +20,7 @@ use smartrefresh_ctrl::{MemTransaction, MemoryController};
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::{DramDevice, Geometry, RetentionTracker, RowAddr, TimingParams};
 use smartrefresh_ecc::EccMemory;
+use smartrefresh_faults::{FaultInjector, FaultSite};
 use smartrefresh_workloads::{find, AccessGenerator};
 
 /// Unwraps a bench-step result without panicking machinery: a failure
@@ -58,7 +60,7 @@ fn bench<F: FnMut()>(name: &str, iters: u64, mut op: F) {
     let elapsed = start.elapsed();
     let ns_per_op = elapsed.as_nanos() as f64 / iters as f64;
     println!(
-        "{name:<36} {ns_per_op:>10.1} ns/op  {:>12.0} op/s",
+        "{name:<41} {ns_per_op:>10.1} ns/op  {:>12.0} op/s",
         1e9 / ns_per_op
     );
 }
@@ -215,6 +217,35 @@ fn bench_ecc() {
     });
 }
 
+fn bench_hammer() {
+    // Double-sided hammering of row 11 in each of 8 banks (ACTs alternate
+    // between rows 10 and 12), with each bank's row 11 refreshed once per
+    // 1024 ACTs: the per-ACT pressure path of the fleet's `dist` cells,
+    // threshold crossings and flip draws included.
+    let geometry = Geometry::new(1, 8, 128, 4, 64);
+    let mut inj = FaultInjector::new().with_disturbance(FaultSite::ANY, 64, 2, 1);
+    let mut now = Instant::ZERO;
+    let mut i = 0u64;
+    bench("faults/note_activation_hammer", 2_000_000, || {
+        i += 1;
+        now += Duration::from_ns(50);
+        let bank = (i % 8) as u32;
+        let aggressor = RowAddr {
+            rank: 0,
+            bank,
+            row: [10, 12][(i / 8 % 2) as usize],
+        };
+        std::hint::black_box(inj.note_activation(&geometry, aggressor, now));
+        if i % 1024 < 8 {
+            let victim = RowAddr {
+                row: 11,
+                ..aggressor
+            };
+            inj.note_row_restored(&geometry, victim);
+        }
+    });
+}
+
 fn bench_retention_victim() {
     // 1024 rows; restores land on scattered rows (stride 389 is coprime
     // to 1024), each followed by the patrol scrubber's victim query.
@@ -227,6 +258,16 @@ fn bench_retention_victim() {
         flat = (flat + 389) % 1024;
         tracker.restore(flat, now);
         std::hint::black_box(tracker.earliest_deadline_row());
+    });
+    // Refresh order: restore the current winner, then ask for the next
+    // one. The restored leaf is the root's, so each restore replays the
+    // longest path of the tree.
+    let mut tracker = RetentionTracker::new(&geometry, Duration::from_ms(64));
+    let mut now = Instant::ZERO;
+    bench("retention/winner_restore_then_earliest_1k", 500_000, || {
+        now += Duration::from_ns(100);
+        let winner = must_some(tracker.earliest_deadline_row(), "deadline winner");
+        tracker.restore(winner, now);
     });
 }
 
@@ -258,7 +299,7 @@ fn bench_controller_access() {
 }
 
 fn main() {
-    println!("{:<36} {:>13}  {:>14}", "benchmark", "mean", "throughput");
+    println!("{:<41} {:>13}  {:>14}", "benchmark", "mean", "throughput");
     bench_counter_array();
     bench_stagger();
     bench_queue();
@@ -267,6 +308,7 @@ fn main() {
     bench_smart_policy_tick();
     bench_stacked_cache();
     bench_ecc();
+    bench_hammer();
     bench_retention_victim();
     bench_controller_access();
 }

@@ -330,22 +330,30 @@ impl RetentionTracker {
 /// the rows in flat order, padded to a power of two with keys that never
 /// win, and every inner node holds the smaller of its two children. The
 /// root is the earliest deadline with ties to the lowest row; re-keying a
-/// leaf replays only the matches on its path to the root.
+/// leaf replays the matches on its path to the root, stopping at the first
+/// match whose winner does not change.
+///
+/// Each key is packed into one `u128`, `(deadline_ps << 64) | flat`, so a
+/// single integer compare orders by deadline and then by row.
 #[derive(Debug, Clone)]
 struct DeadlineIndex {
     /// `nodes[1]` is the root; the leaves start at `nodes.len() / 2`.
-    nodes: Vec<(Instant, u64)>,
+    nodes: Vec<u128>,
 }
 
 impl DeadlineIndex {
     /// Key of a padding leaf: later than every real deadline.
-    const PAD: (Instant, u64) = (Instant::MAX, u64::MAX);
+    const PAD: u128 = u128::MAX;
+
+    fn key(deadline: Instant, flat: usize) -> u128 {
+        (u128::from(deadline.as_ps()) << 64) | flat as u128
+    }
 
     fn build(deadlines: impl ExactSizeIterator<Item = Instant>) -> Self {
         let leaves = deadlines.len().next_power_of_two();
         let mut nodes = vec![Self::PAD; 2 * leaves];
         for (i, (slot, deadline)) in nodes[leaves..].iter_mut().zip(deadlines).enumerate() {
-            *slot = (deadline, i as u64);
+            *slot = Self::key(deadline, i);
         }
         for n in (1..leaves).rev() {
             nodes[n] = nodes[2 * n].min(nodes[2 * n + 1]);
@@ -358,15 +366,23 @@ impl DeadlineIndex {
         self.nodes
             .get(1)
             .filter(|&&key| key != Self::PAD)
-            .map(|&(_, flat)| flat)
+            .map(|&key| key as u64)
     }
 
+    /// Re-keys row `flat`. A match whose winner comes out unchanged leaves
+    /// every match above it unchanged too, so the replay stops there —
+    /// whether the deadline moved later (a restore) or earlier (a
+    /// tightened row deadline).
     fn set(&mut self, flat: usize, deadline: Instant) {
         let mut n = self.nodes.len() / 2 + flat;
-        self.nodes[n] = (deadline, flat as u64);
+        self.nodes[n] = Self::key(deadline, flat);
         while n > 1 {
             n /= 2;
-            self.nodes[n] = self.nodes[2 * n].min(self.nodes[2 * n + 1]);
+            let winner = self.nodes[2 * n].min(self.nodes[2 * n + 1]);
+            if self.nodes[n] == winner {
+                break;
+            }
+            self.nodes[n] = winner;
         }
     }
 }
@@ -589,6 +605,34 @@ mod tests {
                     scan_earliest(&lazy),
                     "step {step}"
                 );
+            }
+        }
+
+        // Refresh order: restore the current winner at every step, which
+        // moves the root's own leaf and so replays its whole path. Every
+        // 7th step also tightens a random row's deadline, which moves a
+        // leaf earlier and may take over the root mid-sweep.
+        for step in 0..4 * rows {
+            let winner = eager.earliest_deadline_row().expect("rows exist");
+            now += Duration::from_us(rng.gen_range(1..200));
+            for t in [&mut eager, &mut lazy] {
+                t.restore(winner, now);
+            }
+            if step % 7 == 3 {
+                let row = rng.gen_range(0..rows);
+                let tighter =
+                    Duration::from_ps(rng.gen_range(1..eager.row_deadline(row).as_ps() + 1));
+                for t in [&mut eager, &mut lazy] {
+                    t.set_row_deadline(row, tighter);
+                }
+            }
+            for t in [&mut eager, &mut lazy] {
+                assert_eq!(t.earliest_deadline_row(), scan_earliest(t), "sweep {step}");
+                // Stopping a replay early must never leave a stale match
+                // anywhere in the tree, not only at the root.
+                let fresh = DeadlineIndex::build(t.deadlines());
+                let index = t.deadline_index.as_ref().expect("index built");
+                assert_eq!(index.nodes, fresh.nodes, "sweep {step}");
             }
         }
     }

@@ -8,8 +8,6 @@
 //! derating) are applied once to the device's retention tracker via
 //! [`FaultInjector::apply_static_faults`].
 
-use std::collections::BTreeMap;
-
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::{Geometry, RetentionTracker, RowAddr};
@@ -281,9 +279,14 @@ pub struct FaultInjector {
     in_stall: bool,
     vrt_runtime: Vec<VrtRuntime>,
     /// Per-victim hammer pressure: adjacent-row ACTs since the victim's own
-    /// last charge restore, keyed by flat row index. Grows only for rows a
-    /// [`FaultKind::Disturbance`] spec covers.
-    disturbance_pressure: BTreeMap<u64, u32>,
+    /// last charge restore, indexed by flat row; 0 means no pressure. Empty
+    /// until the first [`note_activation`] under a
+    /// [`FaultKind::Disturbance`] spec, which sizes it to the geometry's
+    /// row count (and grows it if a larger geometry arrives later); only
+    /// rows a disturbance spec covers ever become nonzero.
+    ///
+    /// [`note_activation`]: FaultInjector::note_activation
+    disturbance_pressure: Vec<u32>,
     /// Seeded draw stream for the probabilistic flip decision at each
     /// threshold crossing. Installed by [`FaultInjector::with_disturbance`];
     /// lazily created from the default seed otherwise.
@@ -610,7 +613,11 @@ impl FaultInjector {
     /// The accumulated hammer pressure on flat row `flat`: adjacent-row
     /// ACTs since the row's own last charge restore.
     pub fn disturbance_pressure(&self, flat: u64) -> u32 {
-        self.disturbance_pressure.get(&flat).copied().unwrap_or(0)
+        usize::try_from(flat)
+            .ok()
+            .and_then(|i| self.disturbance_pressure.get(i))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The per-ACT hook: `aggressor` was just activated at `now`. Its own
@@ -633,8 +640,11 @@ impl FaultInjector {
         if !self.has_disturbance() {
             return flips;
         }
-        self.disturbance_pressure
-            .remove(&geometry.flatten(aggressor));
+        let rows = geometry.total_rows() as usize;
+        if self.disturbance_pressure.len() < rows {
+            self.disturbance_pressure.resize(rows, 0);
+        }
+        self.disturbance_pressure[geometry.flatten(aggressor) as usize] = 0;
         let neighbors = [aggressor.row.checked_sub(1), aggressor.row.checked_add(1)];
         for victim_row in neighbors.into_iter().flatten() {
             if victim_row >= geometry.rows() {
@@ -656,8 +666,7 @@ impl FaultInjector {
             }) else {
                 continue;
             };
-            let flat = geometry.flatten(victim);
-            let pressure = self.disturbance_pressure.entry(flat).or_insert(0);
+            let pressure = &mut self.disturbance_pressure[geometry.flatten(victim) as usize];
             *pressure += 1;
             let pressure = *pressure;
             if !pressure.is_multiple_of(threshold) {
@@ -685,7 +694,13 @@ impl FaultInjector {
     /// The charge of `row` was restored by a refresh, scrub, or RFM victim
     /// refresh: its accumulated hammer pressure clears.
     pub fn note_row_restored(&mut self, geometry: &Geometry, row: RowAddr) {
-        self.disturbance_pressure.remove(&geometry.flatten(row));
+        // Rows past the slots sized so far have never gained pressure.
+        if let Some(pressure) = self
+            .disturbance_pressure
+            .get_mut(geometry.flatten(row) as usize)
+        {
+            *pressure = 0;
+        }
     }
 
     /// True when any drop, delay, or stall spec exists (the injector can
@@ -702,6 +717,8 @@ impl FaultInjector {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn row(rank: u32, bank: u32, row: u32) -> RowAddr {
@@ -1016,6 +1033,121 @@ mod tests {
             Perturbation::Pass
         );
         assert!(!inj.dispatch_stalled(Instant::ZERO));
+    }
+
+    /// The sparse per-victim pressure map the dense table replaced, with
+    /// the same threshold and draw rules: the oracle for the hammer path
+    /// of a one-spec injector.
+    struct PressureMapModel {
+        site: FaultSite,
+        threshold: u32,
+        bits: u8,
+        pressure: BTreeMap<u64, u32>,
+        rng: Rng,
+        stats: FaultStats,
+    }
+
+    impl PressureMapModel {
+        fn new(site: FaultSite, threshold: u32, bits: u8, seed: u64) -> Self {
+            PressureMapModel {
+                site,
+                threshold,
+                bits,
+                pressure: BTreeMap::new(),
+                rng: Rng::seed_from_u64(seed ^ 0xfa17_0000_0000_0003),
+                stats: FaultStats::default(),
+            }
+        }
+
+        fn activate(&mut self, g: &Geometry, aggressor: RowAddr) -> Vec<(RowAddr, u8)> {
+            let mut flips = Vec::new();
+            self.pressure.remove(&g.flatten(aggressor));
+            for victim_row in [aggressor.row.checked_sub(1), aggressor.row.checked_add(1)]
+                .into_iter()
+                .flatten()
+                .filter(|&r| r < g.rows())
+            {
+                let victim = RowAddr {
+                    row: victim_row,
+                    ..aggressor
+                };
+                if !self.site.matches(victim) {
+                    continue;
+                }
+                let pressure = self.pressure.entry(g.flatten(victim)).or_insert(0);
+                *pressure += 1;
+                if !pressure.is_multiple_of(self.threshold) {
+                    continue;
+                }
+                self.stats.hammer_crossings += 1;
+                let crossings = u64::from(*pressure / self.threshold);
+                if self.rng.gen_range(0..crossings + 1) != 0 {
+                    self.stats.disturbance_bits_flipped += u64::from(self.bits);
+                    flips.push((victim, self.bits));
+                }
+            }
+            flips
+        }
+
+        fn pressure(&self, flat: u64) -> u32 {
+            self.pressure.get(&flat).copied().unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn dense_pressure_matches_the_map_model() {
+        // Only bank 1 is susceptible, so bank-0 victims never gain pressure.
+        let site = FaultSite {
+            rank: None,
+            bank: Some(1),
+            row: None,
+        };
+        let small = Geometry::new(1, 2, 24, 4, 64);
+        let large = Geometry::new(2, 2, 40, 4, 64);
+        let mut inj = FaultInjector::new().with_disturbance(site, 3, 1, 0x5eed);
+        let mut model = PressureMapModel::new(site, 3, 1, 0x5eed);
+        let mut rng = Rng::seed_from_u64(0x0dd_ba11);
+        let beyond = [large.total_rows(), large.total_rows() + 7, u64::MAX];
+
+        // A restore before any activation finds no slots and reads 0.
+        inj.note_row_restored(&small, row(0, 1, 4));
+        assert_eq!(inj.disturbance_pressure(small.flatten(row(0, 1, 4))), 0);
+
+        let mut now = Instant::ZERO;
+        // One injector serves a small geometry first, then a larger one.
+        for (phase, g) in [small, large].iter().enumerate() {
+            for step in 0..4_000 {
+                now += Duration::from_ns(50);
+                let addr = g.unflatten(rng.gen_range(0..g.total_rows()));
+                if rng.gen_range(0u32..4) == 0 {
+                    inj.note_row_restored(g, addr);
+                    model.pressure.remove(&g.flatten(addr));
+                } else {
+                    // Hammer a narrow band so pressure builds past several
+                    // thresholds before a restore clears it.
+                    let addr = RowAddr {
+                        row: addr.row % 6,
+                        ..addr
+                    };
+                    let got = inj.note_activation(g, addr, now);
+                    assert_eq!(got, model.activate(g, addr), "phase {phase} step {step}");
+                }
+                assert_eq!(inj.stats(), model.stats, "phase {phase} step {step}");
+            }
+            for flat in (0..large.total_rows()).chain(beyond) {
+                assert_eq!(
+                    inj.disturbance_pressure(flat),
+                    model.pressure(flat),
+                    "phase {phase} flat {flat}"
+                );
+            }
+        }
+        assert!(
+            model.stats.disturbance_bits_flipped > 0 && !model.pressure.is_empty(),
+            "the sequence must flip bits and leave pressure behind"
+        );
+        // Bank-0 rows are outside the site: untouched, so they read 0.
+        assert_eq!(inj.disturbance_pressure(large.flatten(row(1, 0, 2))), 0);
     }
 
     #[test]
