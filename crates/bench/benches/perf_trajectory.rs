@@ -256,11 +256,8 @@ fn main() {
         name: "conformance/model-check",
         wall_ms: ms,
         detail: format!(
-            "work-cursor {} schedules ({} steps), timing-wheel {} schedules ({} steps)",
-            report.cursor.schedules,
-            report.cursor.steps,
-            report.wheel.schedules,
-            report.wheel.steps
+            "work-cursor {} schedules ({} steps)",
+            report.schedules, report.steps
         ),
     });
 

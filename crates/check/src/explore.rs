@@ -4,27 +4,19 @@
 //! of actors that advance in atomic steps, and [`explore`] enumerates
 //! **every** interleaving of those steps (depth-first, replaying the
 //! model from scratch per schedule), failing loudly with the exact
-//! schedule prefix that broke an invariant. Two models ship by default,
-//! matching the two shared-state protocols the workspace actually runs:
+//! schedule prefix that broke an invariant. One model ships by default,
+//! matching the one shared-state protocol the workspace runs:
+//! [`CursorModel`], worker pools claiming from a real [`WorkCursor`].
+//! Every schedule must partition the index space exactly, and the
+//! index-ordered merge must be bit-identical to the sequential reference.
 //!
-//! * [`CursorModel`] — worker pools claiming from a real
-//!   [`WorkCursor`]; every schedule must partition the index space
-//!   exactly and the index-ordered merge must be bit-identical to the
-//!   sequential reference.
-//! * [`WheelModel`] — actors driving a real [`TimingWheel`] through the
-//!   schedule/tighten/relax/remove/peek protocol on disjoint ids; an
-//!   oracle map is checked after every step, and every schedule must
-//!   drain to the identical deadline sequence.
-//!
-//! The schedule spaces are exact and closed-form (`workers^items ×
-//! workers!` for the cursor; a multinomial for the wheel), so the suite
-//! proves exhaustiveness by count, not by sampling. Run it with
-//! `cargo run -p smartrefresh-check -- model-check`.
+//! The schedule space is exact and closed-form (`workers^items ×
+//! workers!`), so the suite proves exhaustiveness by count, not by
+//! sampling. Run it with `cargo run -p smartrefresh-check -- model-check`.
 
 use std::fmt;
 
-use smartrefresh_core::{TimingWheel, WorkCursor};
-use smartrefresh_dram::time::Instant;
+use smartrefresh_core::WorkCursor;
 
 /// Ceiling on schedules per model — a schedule-explosion guard so a
 /// mis-sized model fails fast instead of hanging CI.
@@ -249,232 +241,14 @@ impl Model for CursorModel {
     }
 }
 
-/// One atomic step of a [`WheelModel`] actor's program.
-#[derive(Debug, Clone, Copy)]
-enum WheelOp {
-    /// `schedule(id, deadline)` — unconditional re-key.
-    Schedule(usize, u64),
-    /// `tighten(id, deadline)` — decrease-key; inserts an absent id.
-    Tighten(usize, u64),
-    /// `relax(id, deadline)` — extend-only re-key; inserts an absent id.
-    Relax(usize, u64),
-    /// `remove(id)`.
-    Remove(usize),
-    /// `peek_min()` — must agree with the oracle at that instant.
-    Peek,
-}
-
-/// Model of the deadline-index protocol: three actors driving one real
-/// [`TimingWheel`] through schedule/tighten/relax/remove/peek programs
-/// on **disjoint** ids. A linear-scan oracle is checked after every
-/// step, and every schedule must drain (`pop_min`) to the identical
-/// deadline sequence — operations on disjoint ids commute, which is
-/// what lets the sharded simulation engine partition its deadline work.
-///
-/// Distinct schedules: `(Σ|programs|)! / Π(|program|!)` — `1680` for the
-/// default three 3-op programs.
-#[derive(Debug)]
-pub struct WheelModel {
-    wheel: TimingWheel,
-    /// Reference deadlines: `oracle[id]` mirrors what the wheel must
-    /// report for `id`.
-    oracle: Vec<Option<u64>>,
-    programs: Vec<Vec<WheelOp>>,
-    pc: Vec<usize>,
-    /// Drain sequence of the first completed schedule; every later
-    /// schedule must reproduce it exactly.
-    reference_drain: Option<Vec<(u64, usize)>>,
-}
-
-impl WheelModel {
-    /// The default three-actor protocol exercise over ids 0/1/2.
-    pub fn new() -> WheelModel {
-        let programs = vec![
-            vec![
-                WheelOp::Schedule(0, 5_000),
-                WheelOp::Tighten(0, 3_000),
-                WheelOp::Peek,
-            ],
-            vec![
-                WheelOp::Tighten(1, 4_000),
-                WheelOp::Relax(1, 9_000),
-                WheelOp::Peek,
-            ],
-            vec![
-                WheelOp::Schedule(2, 7_000),
-                WheelOp::Remove(2),
-                WheelOp::Tighten(2, 6_000),
-            ],
-        ];
-        let pc = vec![0; programs.len()];
-        WheelModel {
-            wheel: TimingWheel::new(3),
-            oracle: vec![None; 3],
-            programs,
-            pc,
-            reference_drain: None,
-        }
-    }
-
-    /// The oracle's answer to `peek_min`: lowest `(deadline, id)`.
-    fn oracle_min(&self) -> Option<(u64, usize)> {
-        self.oracle
-            .iter()
-            .enumerate()
-            .filter_map(|(id, k)| k.map(|k| (k, id)))
-            .min()
-    }
-
-    /// Applies one op to both the wheel and the oracle, then
-    /// cross-checks the acted-on id, the length, and the minimum.
-    fn apply(&mut self, op: WheelOp) -> Result<(), String> {
-        match op {
-            WheelOp::Schedule(id, k) => {
-                self.wheel.schedule(id, Instant::from_ps(k));
-                self.oracle[id] = Some(k);
-            }
-            WheelOp::Tighten(id, k) => {
-                self.wheel.tighten(id, Instant::from_ps(k));
-                self.oracle[id] = Some(match self.oracle[id] {
-                    Some(old) => old.min(k),
-                    None => k,
-                });
-            }
-            WheelOp::Relax(id, k) => {
-                self.wheel.relax(id, Instant::from_ps(k));
-                self.oracle[id] = Some(match self.oracle[id] {
-                    Some(old) => old.max(k),
-                    None => k,
-                });
-            }
-            WheelOp::Remove(id) => {
-                let got = self.wheel.remove(id).map(Instant::as_ps);
-                if got != self.oracle[id] {
-                    return Err(format!(
-                        "remove({id}) returned {got:?}, oracle held {:?}",
-                        self.oracle[id]
-                    ));
-                }
-                self.oracle[id] = None;
-            }
-            WheelOp::Peek => {
-                let got = self.wheel.peek_min().map(|(t, id)| (t.as_ps(), id));
-                if got != self.oracle_min() {
-                    return Err(format!(
-                        "peek_min() returned {got:?}, oracle min is {:?}",
-                        self.oracle_min()
-                    ));
-                }
-            }
-        }
-        let oracle_len = self.oracle.iter().flatten().count();
-        if self.wheel.len() != oracle_len {
-            return Err(format!(
-                "wheel len {} diverges from oracle len {oracle_len} after {op:?}",
-                self.wheel.len()
-            ));
-        }
-        for id in 0..self.oracle.len() {
-            let held = self.wheel.deadline_of(id).map(|t| t.as_ps());
-            if held != self.oracle[id] {
-                return Err(format!(
-                    "deadline_of({id}) is {held:?}, oracle holds {:?} after {op:?}",
-                    self.oracle[id]
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for WheelModel {
-    fn default() -> Self {
-        WheelModel::new()
-    }
-}
-
-impl Model for WheelModel {
-    fn name(&self) -> &'static str {
-        "timing-wheel"
-    }
-    fn actors(&self) -> usize {
-        self.programs.len()
-    }
-    fn reset(&mut self) {
-        self.wheel = TimingWheel::new(self.oracle.len());
-        for slot in &mut self.oracle {
-            *slot = None;
-        }
-        for pc in &mut self.pc {
-            *pc = 0;
-        }
-        // reference_drain deliberately survives: it is the
-        // cross-schedule convergence check.
-    }
-    fn step(&mut self, actor: usize) -> Result<bool, String> {
-        let at = self.pc[actor];
-        let Some(&op) = self.programs[actor].get(at) else {
-            return Err(format!("actor {actor} stepped past its program"));
-        };
-        self.pc[actor] += 1;
-        self.apply(op)?;
-        Ok(self.pc[actor] < self.programs[actor].len())
-    }
-    fn finish(&mut self) -> Result<(), String> {
-        let mut drained = Vec::new();
-        while let Some((t, id)) = self.wheel.pop_min() {
-            drained.push((t.as_ps(), id));
-        }
-        let mut expected: Vec<(u64, usize)> = self
-            .oracle
-            .iter()
-            .enumerate()
-            .filter_map(|(id, k)| k.map(|k| (k, id)))
-            .collect();
-        expected.sort_unstable();
-        if drained != expected {
-            return Err(format!(
-                "drain {drained:?} diverges from oracle order {expected:?}"
-            ));
-        }
-        match &self.reference_drain {
-            None => self.reference_drain = Some(drained),
-            Some(reference) => {
-                if *reference != drained {
-                    return Err(format!(
-                        "drain {drained:?} diverges from the first schedule's {reference:?}"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// What a full `model-check` run covered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModelCheckReport {
-    /// Exploration of the [`CursorModel`] (3 workers, 5 items).
-    pub cursor: ExploreReport,
-    /// Exploration of the [`WheelModel`] (three 3-op programs).
-    pub wheel: ExploreReport,
-}
-
 /// Runs the default model suite exhaustively: the claim protocol over
-/// [`WorkCursor`] and the deadline protocol over [`TimingWheel`].
+/// [`WorkCursor`], as a [`CursorModel`] of 3 workers and 5 items.
 ///
 /// # Errors
 ///
 /// The first invariant violation, carrying the schedule that exposed it.
-pub fn run_model_check() -> Result<ModelCheckReport, ModelError> {
-    let mut cursor = CursorModel::new(3, 5);
-    let cursor_report = explore(&mut cursor, MAX_SCHEDULES)?;
-    let mut wheel = WheelModel::new();
-    let wheel_report = explore(&mut wheel, MAX_SCHEDULES)?;
-    Ok(ModelCheckReport {
-        cursor: cursor_report,
-        wheel: wheel_report,
-    })
+pub fn run_model_check() -> Result<ExploreReport, ModelError> {
+    explore(&mut CursorModel::new(3, 5), MAX_SCHEDULES)
 }
 
 #[cfg(test)]
@@ -495,9 +269,8 @@ mod tests {
     #[test]
     fn default_suite_exceeds_the_coverage_floor() {
         let report = run_model_check().unwrap();
-        // 3^5 × 3! and 9!/(3!)^3 — both past the 1,000-schedule floor.
-        assert_eq!(report.cursor.schedules, 1458);
-        assert_eq!(report.wheel.schedules, 1680);
+        // 3^5 × 3!, past the 1,000-schedule floor.
+        assert_eq!(report.schedules, 1458);
     }
 
     #[test]

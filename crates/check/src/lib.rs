@@ -37,9 +37,8 @@
 //! The dynamic companion is **[`explore`]**: a dependency-free bounded
 //! interleaving model checker that exhaustively enumerates every
 //! schedule of small worker pools against the real
-//! `smartrefresh_core::sync::WorkCursor` and the real
-//! `smartrefresh_core::TimingWheel`, proving the claim and deadline
-//! protocols converge to identical results under *all* interleavings
+//! `smartrefresh_core::sync::WorkCursor`, proving the claim protocol
+//! converges to identical results under *all* interleavings
 //! (`cargo run -p smartrefresh-check -- model-check`).
 
 use std::fmt;

@@ -5,8 +5,7 @@
 //! * `cargo run -p smartrefresh-check -- lint [--root PATH]` — the
 //!   multi-pass static analyzer over the workspace sources.
 //! * `cargo run -p smartrefresh-check -- model-check` — the bounded
-//!   interleaving explorer over the `WorkCursor` claim protocol and the
-//!   `TimingWheel` deadline protocol.
+//!   interleaving explorer over the `WorkCursor` claim protocol.
 //!
 //! Exit codes: `0` clean, `1` findings / violated invariant, `2` usage
 //! or I/O error.
@@ -63,12 +62,8 @@ fn run_model_check_cmd() -> ExitCode {
     match smartrefresh_check::explore::run_model_check() {
         Ok(report) => {
             println!(
-                "smartrefresh-check: model-check clean — work-cursor: {} schedules \
-                 ({} steps), timing-wheel: {} schedules ({} steps)",
-                report.cursor.schedules,
-                report.cursor.steps,
-                report.wheel.schedules,
-                report.wheel.steps,
+                "smartrefresh-check: model-check clean — work-cursor: {} schedules ({} steps)",
+                report.schedules, report.steps,
             );
             ExitCode::SUCCESS
         }

@@ -54,7 +54,6 @@ pub mod retention_aware;
 pub mod smart;
 pub mod stagger;
 pub mod sync;
-pub mod timing_wheel;
 
 pub use atomicio::write_atomic;
 pub use baselines::{BurstRefresh, CbrDistributed, NoRefresh, RasOnlyDistributed};
@@ -67,4 +66,3 @@ pub use retention_aware::RetentionAwareDistributed;
 pub use smart::{SmartRefresh, SmartRefreshConfig, SmartRefreshStats};
 pub use stagger::StaggerSchedule;
 pub use sync::WorkCursor;
-pub use timing_wheel::TimingWheel;

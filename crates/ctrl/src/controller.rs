@@ -227,6 +227,11 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// (latent faults exist from power-up), regardless of builder order.
     ///
     /// [`FaultKind::BitFlip`]: smartrefresh_faults::FaultKind::BitFlip
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` carries a zero scrub interval or watchdog epoch,
+    /// either of which would stall [`advance_to`](Self::advance_to).
     pub fn with_ecc(mut self, cfg: EccConfig) -> Self {
         self.ecc = Some(EccLayer::new(&cfg));
         self.seed_injected_flips();

@@ -58,6 +58,10 @@ pub struct PatrolScrubber {
 impl PatrolScrubber {
     /// Creates a scrubber whose first slot falls one interval after time
     /// zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.interval` is zero, which would stall the slot clock.
     pub fn new(cfg: ScrubConfig) -> Self {
         Self::starting_at(cfg, Instant::ZERO + cfg.interval)
     }
@@ -66,7 +70,12 @@ impl PatrolScrubber {
     /// system-level scheduler uses this to stagger the per-channel patrol
     /// phases so the channels' scrub slots interleave instead of landing
     /// on every channel at the same instants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.interval` is zero, which would stall the slot clock.
     pub fn starting_at(cfg: ScrubConfig, first_slot: Instant) -> Self {
+        assert!(!cfg.interval.is_zero(), "scrub interval must be non-zero");
         PatrolScrubber {
             cfg,
             next_slot: first_slot,

@@ -76,7 +76,12 @@ pub struct RetentionWatchdog {
 impl RetentionWatchdog {
     /// Creates a watchdog whose first audit falls one epoch after time
     /// zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.epoch` is zero, which would stall the epoch clock.
     pub fn new(cfg: WatchdogConfig) -> Self {
+        assert!(!cfg.epoch.is_zero(), "watchdog epoch must be non-zero");
         RetentionWatchdog {
             cfg,
             buckets: BTreeMap::new(),

@@ -2,7 +2,9 @@
 //! (seeded, in-repo PRNG — the build stays hermetic).
 
 use smartrefresh_core::{DegradeCause, RefreshPolicy, SmartRefresh, SmartRefreshConfig};
-use smartrefresh_ctrl::{EccConfig, MemTransaction, MemoryController, ScrubConfig, SimError};
+use smartrefresh_ctrl::{
+    EccConfig, MemTransaction, MemoryController, ScrubConfig, SimError, WatchdogConfig,
+};
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::{DramDevice, Geometry, TimingParams};
@@ -208,4 +210,25 @@ fn builder_order_is_irrelevant_for_bit_flips() {
     mc.access(MemTransaction::read(addr, ms(1))).unwrap();
     assert_eq!(mc.stats().ce_corrected, 1, "the single flip is corrected");
     assert_eq!(mc.fault_injector().unwrap().stats().rows_bit_flipped, 1);
+}
+
+/// A zero patrol interval would stall the slot clock, so the next
+/// `advance_to` could never return; installing it must fail loudly.
+#[test]
+#[should_panic(expected = "scrub interval must be non-zero")]
+fn zero_scrub_interval_is_refused() {
+    let mut mc = controller().with_ecc(EccConfig::new(1).with_scrub(ScrubConfig {
+        interval: Duration::ZERO,
+    }));
+    let _ = mc.advance_to(ms(1));
+}
+
+/// The same for a zero watchdog epoch and the epoch clock.
+#[test]
+#[should_panic(expected = "watchdog epoch must be non-zero")]
+fn zero_watchdog_epoch_is_refused() {
+    let mut wd = WatchdogConfig::for_retention(TimingParams::ddr2_667().retention);
+    wd.epoch = Duration::ZERO;
+    let mut mc = controller().with_ecc(EccConfig::new(1).with_watchdog(wd));
+    let _ = mc.advance_to(ms(1));
 }

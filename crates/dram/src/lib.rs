@@ -11,6 +11,8 @@
 //!   PRECHARGE / CBR refresh / RAS-only refresh) with protocol enforcement;
 //! * [`retention::RetentionTracker`] — *checked* data integrity: any refresh
 //!   policy that lets a row decay is caught, not silently tolerated;
+//! * [`deadline::DeadlineIndex`] — the tournament tree that answers "which
+//!   row's deadline comes first?" for the patrol and the scheduler;
 //! * [`configs`] — the exact module configurations of the paper's Tables 1–2.
 //!
 //! # Quick start
@@ -32,6 +34,7 @@
 
 pub mod bank;
 pub mod configs;
+pub mod deadline;
 pub mod device;
 pub mod error;
 pub mod geometry;

@@ -12,6 +12,7 @@
 //! 100% optimal if every row is restored exactly at the retention deadline,
 //! never earlier.
 
+use crate::deadline::DeadlineIndex;
 use crate::geometry::Geometry;
 use crate::time::{Duration, Instant};
 
@@ -161,8 +162,10 @@ impl RetentionTracker {
             .get_or_insert_with(|| vec![self.retention; self.last_restore.len()]);
         per_row[flat_index as usize] = deadline;
         if let Some(index) = &mut self.deadline_index {
-            let flat = flat_index as usize;
-            index.set(flat, self.last_restore[flat] + deadline);
+            index.set(
+                flat_index,
+                self.last_restore[flat_index as usize] + deadline,
+            );
         }
     }
 
@@ -226,7 +229,7 @@ impl RetentionTracker {
             });
         }
         if let Some(index) = &mut self.deadline_index {
-            index.set(flat_index as usize, now + deadline);
+            index.set(flat_index, now + deadline);
         }
         Some(interval)
     }
@@ -243,7 +246,7 @@ impl RetentionTracker {
         if self.deadline_index.is_none() {
             self.deadline_index = Some(DeadlineIndex::build(self.deadlines()));
         }
-        self.deadline_index.as_ref().and_then(DeadlineIndex::min)
+        self.deadline_index.as_ref()?.min().map(|(_, flat)| flat)
     }
 
     /// Every row's current deadline instant, in flat order.
@@ -322,67 +325,6 @@ impl RetentionTracker {
             } else {
                 mean_ps / self.retention.as_ps() as f64
             },
-        }
-    }
-}
-
-/// A tournament (winner) tree over `(deadline, flat)` keys: leaves hold
-/// the rows in flat order, padded to a power of two with keys that never
-/// win, and every inner node holds the smaller of its two children. The
-/// root is the earliest deadline with ties to the lowest row; re-keying a
-/// leaf replays the matches on its path to the root, stopping at the first
-/// match whose winner does not change.
-///
-/// Each key is packed into one `u128`, `(deadline_ps << 64) | flat`, so a
-/// single integer compare orders by deadline and then by row.
-#[derive(Debug, Clone)]
-struct DeadlineIndex {
-    /// `nodes[1]` is the root; the leaves start at `nodes.len() / 2`.
-    nodes: Vec<u128>,
-}
-
-impl DeadlineIndex {
-    /// Key of a padding leaf: later than every real deadline.
-    const PAD: u128 = u128::MAX;
-
-    fn key(deadline: Instant, flat: usize) -> u128 {
-        (u128::from(deadline.as_ps()) << 64) | flat as u128
-    }
-
-    fn build(deadlines: impl ExactSizeIterator<Item = Instant>) -> Self {
-        let leaves = deadlines.len().next_power_of_two();
-        let mut nodes = vec![Self::PAD; 2 * leaves];
-        for (i, (slot, deadline)) in nodes[leaves..].iter_mut().zip(deadlines).enumerate() {
-            *slot = Self::key(deadline, i);
-        }
-        for n in (1..leaves).rev() {
-            nodes[n] = nodes[2 * n].min(nodes[2 * n + 1]);
-        }
-        DeadlineIndex { nodes }
-    }
-
-    /// The winning row; `None` when the tree holds no rows.
-    fn min(&self) -> Option<u64> {
-        self.nodes
-            .get(1)
-            .filter(|&&key| key != Self::PAD)
-            .map(|&key| key as u64)
-    }
-
-    /// Re-keys row `flat`. A match whose winner comes out unchanged leaves
-    /// every match above it unchanged too, so the replay stops there —
-    /// whether the deadline moved later (a restore) or earlier (a
-    /// tightened row deadline).
-    fn set(&mut self, flat: usize, deadline: Instant) {
-        let mut n = self.nodes.len() / 2 + flat;
-        self.nodes[n] = Self::key(deadline, flat);
-        while n > 1 {
-            n /= 2;
-            let winner = self.nodes[2 * n].min(self.nodes[2 * n + 1]);
-            if self.nodes[n] == winner {
-                break;
-            }
-            self.nodes[n] = winner;
         }
     }
 }
@@ -632,7 +574,7 @@ mod tests {
                 // anywhere in the tree, not only at the root.
                 let fresh = DeadlineIndex::build(t.deadlines());
                 let index = t.deadline_index.as_ref().expect("index built");
-                assert_eq!(index.nodes, fresh.nodes, "sweep {step}");
+                assert_eq!(index, &fresh, "sweep {step}");
             }
         }
     }

@@ -193,13 +193,6 @@ pub struct BenchPair {
     pub smart: RunResult,
 }
 
-impl BenchPair {
-    /// Fractional reduction in refresh operations.
-    pub fn refresh_reduction(&self) -> f64 {
-        1.0 - self.smart.refreshes_per_sec / self.baseline.refreshes_per_sec
-    }
-}
-
 /// Lazily-evaluated, cached figure corpus runner.
 #[derive(Debug)]
 pub struct Evaluation {

@@ -39,8 +39,9 @@
 //! scheduler replays every scrub slot and watchdog epoch due since the
 //! last call, in chronological order.
 
-use smartrefresh_core::{DegradeCause, TimingWheel};
+use smartrefresh_core::DegradeCause;
 use smartrefresh_ctrl::{PatrolScrubber, RetentionWatchdog, ScrubConfig, SimError, WatchdogConfig};
+use smartrefresh_dram::deadline::DeadlineIndex;
 use smartrefresh_dram::time::{Duration, Instant};
 
 use crate::system::MultiChannelSystem;
@@ -142,10 +143,10 @@ pub struct MaintenanceScheduler {
     /// Per channel, per flat row: when it was last scrubbed (`ZERO` =
     /// never; the initial deadline covers the first staggered lap).
     last_scrub: Vec<Vec<Instant>>,
-    /// Per channel: a [`TimingWheel`] holding every row's coverage
-    /// deadline. Victim selection reads the wheel's min-cohort instead of
+    /// Per channel: a [`DeadlineIndex`] holding every row's coverage
+    /// deadline. Victim selection reads the tree's root instead of
     /// scanning every row, and each scrub re-keys only its victim.
-    deadlines: Vec<TimingWheel>,
+    deadlines: Vec<DeadlineIndex>,
     interval: Duration,
     /// `(when, new_interval)` for every adaptive change, starting with the
     /// initial interval at time zero.
@@ -162,13 +163,19 @@ impl MaintenanceScheduler {
     ///
     /// # Errors
     ///
-    /// [`SimError::Config`] for a zero scrub interval, a zero slot
-    /// interval implied by `adaptive.min_interval`, or an adaptive config
-    /// whose `clean_ces` is not below `storm_ces` (no dead band).
+    /// [`SimError::Config`] for a zero scrub interval or watchdog epoch,
+    /// a zero slot interval implied by `adaptive.min_interval`, or an
+    /// adaptive config whose `clean_ces` is not below `storm_ces` (no dead
+    /// band).
     pub fn new(sys: &MultiChannelSystem, cfg: SchedulerConfig) -> Result<Self, SimError> {
         if cfg.scrub.interval == Duration::ZERO {
             return Err(SimError::Config {
                 what: "scrub interval must be non-zero",
+            });
+        }
+        if cfg.watchdog.epoch == Duration::ZERO {
+            return Err(SimError::Config {
+                what: "watchdog epoch must be non-zero",
             });
         }
         if let Some(a) = cfg.adaptive {
@@ -212,11 +219,10 @@ impl MaintenanceScheduler {
             scrubbers.push(PatrolScrubber::starting_at(cfg.scrub, first));
             // The first staggered lap finishes `window` after the phase
             // offset, so the initial promise includes it.
-            let mut wheel = TimingWheel::new(rows as usize);
-            for r in 0..rows as usize {
-                wheel.schedule(r, first + window);
-            }
-            deadlines.push(wheel);
+            deadlines.push(DeadlineIndex::build(std::iter::repeat_n(
+                first + window,
+                rows as usize,
+            )));
         }
         Ok(MaintenanceScheduler {
             cfg,
@@ -328,15 +334,12 @@ impl MaintenanceScheduler {
         let ctrl = sys.channel_mut(channel);
         ctrl.issue_scrub(victim, slot)?;
         self.stats.scrubs[channel] += 1;
-        if self.deadlines[channel]
-            .deadline_of(victim as usize)
-            .is_some_and(|d| slot > d)
-        {
+        if slot > self.deadlines[channel].get(victim) {
             self.stats.missed_deadlines += 1;
         }
         self.last_scrub[channel][victim as usize] = slot;
         let window = self.window();
-        self.deadlines[channel].schedule(victim as usize, slot + window);
+        self.deadlines[channel].set(victim, slot + window);
         self.scrubbers[channel].advance_past(slot);
         if let Some(skew) = self.cfg.skew {
             self.apply_skew(sys, channel, skew);
@@ -379,22 +382,20 @@ impl MaintenanceScheduler {
     /// earliest-deadline row on a *precharged* bank is scrubbed instead
     /// and the blocked row waits for a later slot.
     ///
-    /// Both selections come from the channel's [`TimingWheel`]: the
-    /// outright winner is the wheel's exact `(deadline, row)` minimum,
-    /// and the precharged-bank preference is resolved inside the wheel's
-    /// bucket walk ([`TimingWheel::peek_min_where`]) rather than by
-    /// re-scanning every row. The winners are bit-identical to the linear
-    /// `min_by_key(|r| (deadline, r))` scans this replaced — the wheel's
-    /// contract, enforced by its oracle property test.
+    /// Both selections come from the channel's [`DeadlineIndex`]: the
+    /// outright winner is the tree's root, and the precharged-bank
+    /// preference is a pruned descent ([`DeadlineIndex::min_where`])
+    /// rather than a re-scan of every row. The winners are bit-identical
+    /// to linear `min_by_key(|r| (deadline, r))` scans — the tree's
+    /// contract, enforced by its oracle test.
     fn pick_victim(
         &mut self,
         sys: &MultiChannelSystem,
         channel: usize,
         slot: Instant,
     ) -> Option<u64> {
-        let wheel = &mut self.deadlines[channel];
-        let (best_deadline, best) = wheel.peek_min()?;
-        let best = best as u64;
+        let index = &self.deadlines[channel];
+        let (best_deadline, best) = index.min()?;
         let ctrl = sys.channel(channel);
         if !ctrl.scrub_would_close_page(best) {
             return Some(best);
@@ -405,11 +406,10 @@ impl MaintenanceScheduler {
             self.stats.forced_closures += 1;
             return Some(best);
         }
-        let open_alternative = wheel.peek_min_where(|r| !ctrl.scrub_would_close_page(r as u64));
-        match open_alternative {
+        match index.min_where(|r| !ctrl.scrub_would_close_page(r)) {
             Some((_, r)) => {
                 self.stats.deferred_scrubs += 1;
-                Some(r as u64)
+                Some(r)
             }
             None => {
                 // Every bank holds an open page; interference is unavoidable.
@@ -433,7 +433,7 @@ impl MaintenanceScheduler {
             self.stats.forced_scrubs += 1;
             self.last_scrub[channel][flat as usize] = epoch;
             let window = self.window();
-            self.deadlines[channel].schedule(flat as usize, epoch + window);
+            self.deadlines[channel].set(flat, epoch + window);
         }
         if self.watchdog.should_escalate() && !self.stats.escalated {
             for i in 0..sys.channels() {
@@ -474,16 +474,17 @@ impl MaintenanceScheduler {
                     // outstanding promise is re-made under the new one —
                     // otherwise the slower walk would miss deadlines it
                     // was never going to be held to. Extend-only
-                    // ([`TimingWheel::relax`]): a row the walk has not
-                    // reached yet keeps its original (later) promise
-                    // rather than having one invented in its past from
-                    // `last_scrub = 0`.
+                    // (`max(held, last_scrub + window)`): a row the walk
+                    // has not reached yet keeps its original (later)
+                    // promise rather than having one invented in its past
+                    // from `last_scrub = 0`.
                     let window = self.window();
-                    for channel in 0..self.last_scrub.len() {
-                        for r in 0..self.rows_per_channel as usize {
-                            let renewed = self.last_scrub[channel][r] + window;
-                            self.deadlines[channel].relax(r, renewed);
-                        }
+                    for (index, last) in self.deadlines.iter_mut().zip(&self.last_scrub) {
+                        let renewed = last
+                            .iter()
+                            .enumerate()
+                            .map(|(r, &scrubbed)| index.get(r as u64).max(scrubbed + window));
+                        *index = DeadlineIndex::build(renewed);
                     }
                 }
             }
@@ -601,7 +602,7 @@ mod tests {
         assert_eq!(sched.stats.forced_closures, 0);
         // Pull row 0's deadline inside the slack: coverage now beats the
         // open page and the scrub is forced through it.
-        sched.deadlines[0].schedule(0, slot + Duration::from_us(100));
+        sched.deadlines[0].set(0, slot + Duration::from_us(100));
         let victim = sched.pick_victim(&sys, 0, slot);
         assert_eq!(
             victim,
@@ -732,10 +733,59 @@ mod tests {
     }
 
     #[test]
+    fn an_interval_raise_re_promises_extend_only() {
+        let mut sys = system(1);
+        let base = cfg().scrub.interval;
+        let mut c = cfg();
+        c.scrub.interval = base * 4;
+        c.adaptive = Some(AdaptiveScrubConfig {
+            min_interval: base,
+            max_interval: base * 4,
+            storm_ces: 4,
+            clean_ces: 1,
+            clean_epochs_to_slow: 1,
+        });
+        let mut sched = MaintenanceScheduler::new(&sys, c).unwrap();
+        // A storm epoch halves the interval and shrinks the window without
+        // touching the promises already made ...
+        sched.ces_this_epoch = 4;
+        let e = sched.watchdog.next_epoch();
+        sched.advance(&mut sys, e).unwrap();
+        assert_eq!(sched.current_interval(), base * 2);
+        // ... then the next clean epoch raises it back.
+        let e = sched.watchdog.next_epoch();
+        sched.advance(&mut sys, e - Duration::from_ps(1)).unwrap();
+        let held: Vec<Instant> = (0..64).map(|r| sched.deadlines[0].get(r)).collect();
+        sched.run_epoch(&mut sys, e).unwrap();
+        assert_eq!(sched.current_interval(), base * 4);
+        let window = sched.window();
+        let (mut kept, mut extended) = (0, 0);
+        for (r, &before) in held.iter().enumerate() {
+            let scrubbed = sched.last_scrub[0][r];
+            let now = sched.deadlines[0].get(r as u64);
+            assert_eq!(now, before.max(scrubbed + window), "row {r}");
+            if scrubbed == Instant::ZERO {
+                // Not reached yet: the initial promise is the later one.
+                assert_eq!(now, before, "row {r}");
+                kept += 1;
+            } else if now > before {
+                extended += 1;
+            }
+        }
+        assert!(kept > 0 && extended > 0, "kept {kept}, extended {extended}");
+    }
+
+    #[test]
     fn degenerate_configs_are_rejected() {
         let sys = system(1);
         let mut c = cfg();
         c.scrub.interval = Duration::ZERO;
+        assert!(matches!(
+            MaintenanceScheduler::new(&sys, c),
+            Err(SimError::Config { .. })
+        ));
+        let mut c = cfg();
+        c.watchdog.epoch = Duration::ZERO;
         assert!(matches!(
             MaintenanceScheduler::new(&sys, c),
             Err(SimError::Config { .. })
