@@ -5,25 +5,10 @@
 //! * `micro` — plain-timing micro-benchmarks of the hot components (counter
 //!   array, stagger walk, pending queue, DRAM command layer, workload
 //!   generation, stacked-DRAM L3 cache, controller access path);
-//! * `fig*` / `abl_*` — `harness = false` binaries that regenerate each
-//!   table/figure of the paper or run an ablation, printing paper-vs-measured
-//!   tables. `SMARTREFRESH_SCALE` (default 1.0) scales the simulated spans.
-
-use smartrefresh_sim::figures::{Evaluation, FigureId};
-use smartrefresh_sim::report::render_figure;
-
-/// Runs one figure end-to-end and prints it. Used by every `fig*` bench.
-///
-/// # Errors
-///
-/// Propagates the simulation's [`SimError`](smartrefresh_ctrl::SimError)
-/// when the figure cannot be produced.
-pub fn run_figure(id: FigureId) -> Result<(), smartrefresh_ctrl::SimError> {
-    let mut eval = Evaluation::from_env();
-    let fig = eval.figure(id)?;
-    println!("{}", render_figure(&fig));
-    Ok(())
-}
+//! * `fig*` / `abl_*` — `harness = false` binaries that regenerate the
+//!   paper's tables and motivation/stagger/correctness figures or run an
+//!   ablation, printing paper-vs-measured tables. The evaluation figures
+//!   (Figs 6–18) come from `smart-refresh figures`.
 
 /// Standard mini-module used by ablation benches: large enough to show the
 /// effects, small enough to run in seconds.

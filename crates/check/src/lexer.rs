@@ -10,7 +10,7 @@
 //! so blanking and span math can never lose line or offset information.
 //! A property test (`tests/lexer_oracle.rs`) pins that guarantee against
 //! every real source file in the workspace, with the legacy single-pass
-//! scrubber ([`crate::blank_source`]) as the drift oracle.
+//! scrubber (kept in that test) as the drift oracle.
 
 /// What a token is. Every byte of the source falls into exactly one kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -217,146 +217,6 @@ pub(crate) fn has_token(line: &str, tok: &str, left_boundary: bool) -> bool {
     false
 }
 
-/// Replace comments, string literals, and character literals with spaces,
-/// preserving newlines so line numbers survive.
-pub fn blank_source(src: &str) -> String {
-    let b = src.as_bytes();
-    let mut out = Vec::with_capacity(b.len());
-    let mut i = 0;
-    // Last byte emitted verbatim; used to decide whether `r"`/`b"` starts
-    // a (raw/byte) string literal or terminates an ordinary identifier.
-    let mut prev = b' ';
-    while i < b.len() {
-        let c = b[i];
-        if c == b'/' && b.get(i + 1) == Some(&b'/') {
-            while i < b.len() && b[i] != b'\n' {
-                out.push(b' ');
-                i += 1;
-            }
-            continue;
-        }
-        if c == b'/' && b.get(i + 1) == Some(&b'*') {
-            let mut depth = 1usize;
-            out.extend_from_slice(b"  ");
-            i += 2;
-            while i < b.len() && depth > 0 {
-                if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
-                    depth += 1;
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else if b[i] == b'*' && b.get(i + 1) == Some(&b'/') {
-                    depth -= 1;
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else {
-                    out.push(if b[i] == b'\n' { b'\n' } else { b' ' });
-                    i += 1;
-                }
-            }
-            prev = b' ';
-            continue;
-        }
-        // Raw (and raw-byte) strings: r"..."  r#"..."#  br#"..."#
-        if (c == b'r' || c == b'b') && !is_ident_byte(prev) {
-            let mut j = i;
-            if b[j] == b'b' && b.get(j + 1) == Some(&b'r') {
-                j += 1;
-            }
-            if b[j] == b'r' {
-                let mut hashes = 0usize;
-                let mut k = j + 1;
-                while b.get(k) == Some(&b'#') {
-                    hashes += 1;
-                    k += 1;
-                }
-                if b.get(k) == Some(&b'"') {
-                    // Blank from i through the closing quote+hashes.
-                    let close: Vec<u8> = {
-                        let mut v = vec![b'"'];
-                        v.extend(std::iter::repeat_n(b'#', hashes));
-                        v
-                    };
-                    let mut m = k + 1;
-                    while m < b.len() && !b[m..].starts_with(&close) {
-                        m += 1;
-                    }
-                    let end = (m + close.len()).min(b.len());
-                    for &byte in &b[i..end] {
-                        out.push(if byte == b'\n' { b'\n' } else { b' ' });
-                    }
-                    i = end;
-                    prev = b' ';
-                    continue;
-                }
-            }
-        }
-        // Ordinary (and byte) strings.
-        if c == b'"' || (c == b'b' && b.get(i + 1) == Some(&b'"') && !is_ident_byte(prev)) {
-            if c == b'b' {
-                out.push(b' ');
-                i += 1;
-            }
-            out.push(b' ');
-            i += 1;
-            while i < b.len() {
-                if b[i] == b'\\' && i + 1 < b.len() {
-                    // A `\<newline>` continuation must keep its newline,
-                    // or every later line number shifts.
-                    out.push(b' ');
-                    out.push(if b[i + 1] == b'\n' { b'\n' } else { b' ' });
-                    i += 2;
-                } else if b[i] == b'"' {
-                    out.push(b' ');
-                    i += 1;
-                    break;
-                } else {
-                    out.push(if b[i] == b'\n' { b'\n' } else { b' ' });
-                    i += 1;
-                }
-            }
-            prev = b' ';
-            continue;
-        }
-        // Character literal vs lifetime: '\n' or 'x' is a literal; 'a in
-        // a generic position is a lifetime and passes through untouched.
-        if c == b'\'' {
-            if b.get(i + 1) == Some(&b'\\') {
-                out.push(b' ');
-                i += 1;
-                while i < b.len() {
-                    if b[i] == b'\\' && i + 1 < b.len() {
-                        out.extend_from_slice(b"  ");
-                        i += 2;
-                    } else if b[i] == b'\'' {
-                        out.push(b' ');
-                        i += 1;
-                        break;
-                    } else {
-                        out.push(b' ');
-                        i += 1;
-                    }
-                }
-                prev = b' ';
-                continue;
-            }
-            if b.get(i + 2) == Some(&b'\'') && b.get(i + 1) != Some(&b'\'') {
-                out.extend_from_slice(b"   ");
-                i += 3;
-                prev = b' ';
-                continue;
-            }
-        }
-        out.push(c);
-        prev = c;
-        i += 1;
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 /// Blank every `#[cfg(test)]`-gated item (attribute through the matching
 /// close brace, or through `;` for brace-less items), preserving
 /// newlines. Expects comment/string-blanked input.
@@ -444,7 +304,8 @@ fn section_sets(body: &[(usize, &str)], key: &str, value: &str) -> bool {
 
 /// Enforce [`RULE_WORKSPACE_LINTS`]: consolidated lint policy in the root
 /// manifest, inherited (not copied) by every crate.
-pub(crate) fn check_manifests(root: &Path, diags: &mut Vec<Diagnostic>) -> io::Result<()> {
+pub(crate) fn check_manifests(ws: &pass::Workspace, diags: &mut Vec<Diagnostic>) -> io::Result<()> {
+    let root = ws.root.as_path();
     let root_manifest = root.join("Cargo.toml");
     match fs::read_to_string(&root_manifest) {
         Ok(toml) => match toml_section(&toml, "workspace.lints.rust") {
@@ -534,27 +395,12 @@ pub(crate) fn check_manifests(root: &Path, diags: &mut Vec<Diagnostic>) -> io::R
 
     // Crate roots must not carry per-file copies of the consolidated
     // policy — drift hides there.
-    let mut roots = vec![root.join("src/lib.rs"), root.join("src/main.rs")];
-    if crates_dir.is_dir() {
-        for entry in fs::read_dir(&crates_dir)? {
-            let entry = entry?;
-            roots.push(entry.path().join("src/lib.rs"));
-            roots.push(entry.path().join("src/main.rs"));
-        }
-    }
-    roots.sort();
-    for path in roots {
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => continue,
-            Err(err) => return Err(err),
-        };
-        let blanked = blank_source(&text);
+    for src in ws.sources.iter().filter(|s| is_crate_root(&s.rel)) {
         for attr in ["#![warn(missing_docs)]", "#![forbid(unsafe_code)]"] {
-            for (idx, line) in blanked.lines().enumerate() {
+            for (idx, line) in src.blanked.lines().enumerate() {
                 if line.contains(attr) {
                     diags.push(Diagnostic {
-                        file: rel_display(root, &path),
+                        file: src.rel.clone(),
                         line: idx + 1,
                         rule: RULE_WORKSPACE_LINTS,
                         message: format!(
@@ -567,6 +413,17 @@ pub(crate) fn check_manifests(root: &Path, diags: &mut Vec<Diagnostic>) -> io::R
         }
     }
     Ok(())
+}
+
+/// Is `rel` a crate root: `src/{lib,main}.rs` or
+/// `crates/<name>/src/{lib,main}.rs`?
+fn is_crate_root(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    let tail = match parts.as_slice() {
+        ["src", file] | ["crates", _, "src", file] => *file,
+        _ => return false,
+    };
+    tail == "lib.rs" || tail == "main.rs"
 }
 
 /// Parse the variant names of `pub enum <name>` from blanked source.
@@ -636,18 +493,17 @@ pub fn parse_enum_variants(blanked: &str, name: &str) -> Option<(usize, Vec<Stri
 
 /// Enforce [`RULE_EXHAUSTIVE_VARIANTS`]: every `FaultKind` and
 /// `DegradeCause` variant is named in the sim layer's non-test code.
-pub(crate) fn check_exhaustive_variants(
-    root: &Path,
-    diags: &mut Vec<Diagnostic>,
-) -> io::Result<()> {
-    let sim_src = root.join("crates/sim/src");
-    if !sim_src.is_dir() {
-        return Ok(());
+pub(crate) fn check_exhaustive_variants(ws: &pass::Workspace, diags: &mut Vec<Diagnostic>) {
+    if !ws.root.join("crates/sim/src").is_dir() {
+        return;
     }
     let mut haystack = String::new();
-    for path in collect_rust_sources(&sim_src)? {
-        let text = fs::read_to_string(&path)?;
-        haystack.push_str(&strip_cfg_test(&blank_source(&text)));
+    for src in ws
+        .sources
+        .iter()
+        .filter(|s| s.rel.starts_with("crates/sim/src/"))
+    {
+        haystack.push_str(&src.scrubbed);
         haystack.push('\n');
     }
     let targets = [
@@ -655,14 +511,10 @@ pub(crate) fn check_exhaustive_variants(
         ("crates/core/src/policy.rs", "DegradeCause"),
     ];
     for (rel, enum_name) in targets {
-        let path = root.join(rel);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => continue,
-            Err(err) => return Err(err),
+        let Some(src) = ws.sources.iter().find(|s| s.rel == rel) else {
+            continue;
         };
-        let blanked = blank_source(&text);
-        let Some((line, variants)) = parse_enum_variants(&blanked, enum_name) else {
+        let Some((line, variants)) = parse_enum_variants(&src.blanked, enum_name) else {
             diags.push(Diagnostic {
                 file: rel.to_owned(),
                 line: 1,
@@ -692,5 +544,4 @@ pub(crate) fn check_exhaustive_variants(
             }
         }
     }
-    Ok(())
 }

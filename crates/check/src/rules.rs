@@ -286,7 +286,7 @@ impl Pass for WorkspaceLints {
         crate::RULE_WORKSPACE_LINTS
     }
     fn run(&self, ws: &Workspace, diags: &mut Vec<Diagnostic>) -> io::Result<()> {
-        check_manifests(&ws.root, diags)
+        check_manifests(ws, diags)
     }
 }
 
@@ -299,7 +299,8 @@ impl Pass for ExhaustiveVariants {
         crate::RULE_EXHAUSTIVE_VARIANTS
     }
     fn run(&self, ws: &Workspace, diags: &mut Vec<Diagnostic>) -> io::Result<()> {
-        check_exhaustive_variants(&ws.root, diags)
+        check_exhaustive_variants(ws, diags);
+        Ok(())
     }
 }
 

@@ -19,7 +19,7 @@ use std::path::Path;
 
 use smartrefresh_check::lexer::blank_tokens;
 use smartrefresh_check::pass::Workspace;
-use smartrefresh_check::{blank_source, strip_cfg_test};
+use smartrefresh_check::strip_cfg_test;
 
 /// The original flat scanner's token lists — the drift oracle's probes.
 const PROBE_TOKENS: &[(&str, bool)] = &[
@@ -37,6 +37,148 @@ const PROBE_TOKENS: &[(&str, bool)] = &[
     ("fs::write", true),
     ("File::create", true),
 ];
+
+/// The legacy single-pass scrubber the lexer replaced: replaces comments,
+/// string literals, and character literals with spaces, preserving
+/// newlines so line numbers survive. Kept here as the reference the
+/// lexer's blanking must not drift from.
+fn blank_source(src: &str) -> String {
+    let b = src.as_bytes();
+    let mut out = Vec::with_capacity(b.len());
+    let mut i = 0;
+    // Last byte emitted verbatim; used to decide whether `r"`/`b"` starts
+    // a (raw/byte) string literal or terminates an ordinary identifier.
+    let mut prev = b' ';
+    while i < b.len() {
+        let c = b[i];
+        if c == b'/' && b.get(i + 1) == Some(&b'/') {
+            while i < b.len() && b[i] != b'\n' {
+                out.push(b' ');
+                i += 1;
+            }
+            continue;
+        }
+        if c == b'/' && b.get(i + 1) == Some(&b'*') {
+            let mut depth = 1usize;
+            out.extend_from_slice(b"  ");
+            i += 2;
+            while i < b.len() && depth > 0 {
+                if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
+                    depth += 1;
+                    out.extend_from_slice(b"  ");
+                    i += 2;
+                } else if b[i] == b'*' && b.get(i + 1) == Some(&b'/') {
+                    depth -= 1;
+                    out.extend_from_slice(b"  ");
+                    i += 2;
+                } else {
+                    out.push(if b[i] == b'\n' { b'\n' } else { b' ' });
+                    i += 1;
+                }
+            }
+            prev = b' ';
+            continue;
+        }
+        // Raw (and raw-byte) strings: r"..."  r#"..."#  br#"..."#
+        if (c == b'r' || c == b'b') && !is_ident_byte(prev) {
+            let mut j = i;
+            if b[j] == b'b' && b.get(j + 1) == Some(&b'r') {
+                j += 1;
+            }
+            if b[j] == b'r' {
+                let mut hashes = 0usize;
+                let mut k = j + 1;
+                while b.get(k) == Some(&b'#') {
+                    hashes += 1;
+                    k += 1;
+                }
+                if b.get(k) == Some(&b'"') {
+                    // Blank from i through the closing quote+hashes.
+                    let close: Vec<u8> = {
+                        let mut v = vec![b'"'];
+                        v.extend(std::iter::repeat_n(b'#', hashes));
+                        v
+                    };
+                    let mut m = k + 1;
+                    while m < b.len() && !b[m..].starts_with(&close) {
+                        m += 1;
+                    }
+                    let end = (m + close.len()).min(b.len());
+                    for &byte in &b[i..end] {
+                        out.push(if byte == b'\n' { b'\n' } else { b' ' });
+                    }
+                    i = end;
+                    prev = b' ';
+                    continue;
+                }
+            }
+        }
+        // Ordinary (and byte) strings.
+        if c == b'"' || (c == b'b' && b.get(i + 1) == Some(&b'"') && !is_ident_byte(prev)) {
+            if c == b'b' {
+                out.push(b' ');
+                i += 1;
+            }
+            out.push(b' ');
+            i += 1;
+            while i < b.len() {
+                if b[i] == b'\\' && i + 1 < b.len() {
+                    // A `\<newline>` continuation must keep its newline,
+                    // or every later line number shifts.
+                    out.push(b' ');
+                    out.push(if b[i + 1] == b'\n' { b'\n' } else { b' ' });
+                    i += 2;
+                } else if b[i] == b'"' {
+                    out.push(b' ');
+                    i += 1;
+                    break;
+                } else {
+                    out.push(if b[i] == b'\n' { b'\n' } else { b' ' });
+                    i += 1;
+                }
+            }
+            prev = b' ';
+            continue;
+        }
+        // Character literal vs lifetime: '\n' or 'x' is a literal; 'a in
+        // a generic position is a lifetime and passes through untouched.
+        if c == b'\'' {
+            if b.get(i + 1) == Some(&b'\\') {
+                out.push(b' ');
+                i += 1;
+                while i < b.len() {
+                    if b[i] == b'\\' && i + 1 < b.len() {
+                        out.extend_from_slice(b"  ");
+                        i += 2;
+                    } else if b[i] == b'\'' {
+                        out.push(b' ');
+                        i += 1;
+                        break;
+                    } else {
+                        out.push(b' ');
+                        i += 1;
+                    }
+                }
+                prev = b' ';
+                continue;
+            }
+            if b.get(i + 2) == Some(&b'\'') && b.get(i + 1) != Some(&b'\'') {
+                out.extend_from_slice(b"   ");
+                i += 3;
+                prev = b' ';
+                continue;
+            }
+        }
+        out.push(c);
+        prev = c;
+        i += 1;
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
 
 fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))

@@ -5,7 +5,13 @@
 
 use std::path::Path;
 
-use smartrefresh_check::{blank_source, parse_enum_variants, run_lint, strip_cfg_test};
+use smartrefresh_check::lexer::{blank_tokens, lex};
+use smartrefresh_check::{parse_enum_variants, run_lint, strip_cfg_test};
+
+/// The comment/string-blanked view every lint rule matches against.
+fn blank(src: &str) -> String {
+    blank_tokens(src, &lex(src))
+}
 
 fn fixture_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/bad"))
@@ -142,7 +148,7 @@ fn the_workspace_itself_is_clean() {
 #[test]
 fn blanking_erases_strings_and_comments_but_keeps_lines() {
     let src = "let a = \"panic!\"; // .unwrap()\nlet b = 'x';\n/* todo!\n*/ let c = 1;\n";
-    let blanked = blank_source(src);
+    let blanked = blank(src);
     assert_eq!(blanked.lines().count(), src.lines().count());
     assert!(!blanked.contains("panic!"));
     assert!(!blanked.contains(".unwrap()"));
@@ -154,7 +160,7 @@ fn blanking_erases_strings_and_comments_but_keeps_lines() {
 #[test]
 fn raw_strings_and_lifetimes_survive_blanking() {
     let src = "fn f<'a>(s: &'a str) -> &'a str { s }\nlet r = r#\"panic!\"#;\n";
-    let blanked = blank_source(src);
+    let blanked = blank(src);
     assert!(blanked.contains("fn f<'a>(s: &'a str)"));
     assert!(!blanked.contains("panic!"));
 }
@@ -162,7 +168,7 @@ fn raw_strings_and_lifetimes_survive_blanking() {
 #[test]
 fn cfg_test_regions_are_erased_with_line_structure_intact() {
     let src = "fn keep() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn also_keep() {}\n";
-    let stripped = strip_cfg_test(&blank_source(src));
+    let stripped = strip_cfg_test(&blank(src));
     assert_eq!(stripped.lines().count(), src.lines().count());
     assert!(stripped.contains("fn keep()"));
     assert!(stripped.contains("fn also_keep()"));
@@ -172,7 +178,7 @@ fn cfg_test_regions_are_erased_with_line_structure_intact() {
 #[test]
 fn enum_variant_parsing_handles_payloads_and_attributes() {
     let src = "/// doc\npub enum Kind {\n    /// a\n    Plain,\n    #[allow(dead_code)]\n    Tuple(u32, u64),\n    Fields { a: u32, b: Vec<(u8, u8)> },\n}\n";
-    let (line, variants) = parse_enum_variants(&blank_source(src), "Kind").expect("enum is found");
+    let (line, variants) = parse_enum_variants(&blank(src), "Kind").expect("enum is found");
     assert_eq!(line, 2);
     assert_eq!(variants, ["Plain", "Tuple", "Fields"]);
 }

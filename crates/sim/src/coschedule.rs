@@ -30,8 +30,8 @@
 //!   alive but starves every other row of coverage; the co-scheduled
 //!   walk's scrub-coverage ordering has no such failure mode.)
 //!
-//! `examples/coschedule.rs` prints the table and exits nonzero when any
-//! verdict fails; `crates/sim/tests/coschedule.rs` pins them.
+//! `smart-refresh campaign coschedule` prints the table and exits nonzero
+//! when any verdict fails; `crates/sim/tests/coschedule.rs` pins them.
 
 use smartrefresh_ctrl::{EccConfig, ScrubConfig, SimError, WatchdogConfig};
 use smartrefresh_dram::rng::Rng;
@@ -411,21 +411,10 @@ pub fn run_coschedule_setup(
     })
 }
 
-/// Runs all four setup × load combinations.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] any run hits.
-pub fn run_coschedule_campaign(
-    cfg: &CoscheduleConfig,
-) -> Result<CoscheduleCampaignResult, SimError> {
-    run_coschedule_campaign_threaded(cfg, crate::parallel::default_threads())
-}
-
-/// [`run_coschedule_campaign`] with an explicit worker-thread count: the
-/// four setup × load scenarios are independent simulations, so they
-/// shard across workers and merge in a fixed order — the report is
-/// bit-identical at any thread count.
+/// Runs all four setup × load combinations on `threads` workers. The
+/// scenarios are independent simulations, so they shard across workers
+/// and merge in a fixed order — the report is bit-identical at any
+/// thread count.
 ///
 /// # Errors
 ///

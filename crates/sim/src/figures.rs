@@ -262,22 +262,6 @@ impl Evaluation {
         self.ecc
     }
 
-    /// Reads `SMARTREFRESH_SCALE` (default 1.0) and `SMARTREFRESH_ECC`
-    /// (any value but `0` enables the stacked-corpus ECC stack) from the
-    /// environment; used by the bench harnesses so CI can run them quickly.
-    pub fn from_env() -> Self {
-        let scale = std::env::var("SMARTREFRESH_SCALE") // check:allow(deterministic)
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or(1.0);
-        let mut eval = Self::with_scale(scale);
-        // check:allow(deterministic) — opt-in ECC toggle at the harness boundary
-        if std::env::var("SMARTREFRESH_ECC").is_ok_and(|v| v != "0") {
-            eval = eval.with_ecc();
-        }
-        eval
-    }
-
     fn run_corpus(&self, id: CorpusId) -> Result<Vec<BenchPair>, SimError> {
         let (module, power, topology): (ModuleConfig, DramPowerParams, Topology) = match id {
             CorpusId::Conv2Gb => (

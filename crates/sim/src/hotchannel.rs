@@ -32,8 +32,8 @@
 //! blocked victims would quietly miss deadlines; the
 //! `forced_no_idle_bank` arm is what prevents it).
 //!
-//! `examples/darp.rs` prints the table and exits nonzero when the
-//! verdict fails; `crates/sim/tests/hotchannel.rs` pins it plus the
+//! `smart-refresh campaign darp` prints the table and exits nonzero when
+//! the verdict fails; `crates/sim/tests/hotchannel.rs` pins it plus the
 //! thread-count determinism of the whole report.
 //!
 //! [`darp_wins`]: HotChannelCampaignResult::darp_wins
@@ -388,21 +388,9 @@ pub fn run_hot_channel_setup(
     })
 }
 
-/// Runs both setups.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] either run hits.
-pub fn run_hot_channel_campaign(
-    cfg: &HotChannelConfig,
-) -> Result<HotChannelCampaignResult, SimError> {
-    run_hot_channel_campaign_threaded(cfg, crate::parallel::default_threads())
-}
-
-/// [`run_hot_channel_campaign`] with an explicit worker-thread count: the
-/// two setups are independent simulations, so they shard across workers
-/// and merge in a fixed order — the report is bit-identical at any
-/// thread count.
+/// Runs both setups on `threads` workers. The two setups are
+/// independent simulations, so they shard across workers and merge in a
+/// fixed order — the report is bit-identical at any thread count.
 ///
 /// # Errors
 ///

@@ -22,14 +22,15 @@
 //! * [`scheduler::MaintenanceScheduler`] — the system-level maintenance
 //!   scheduler co-ordinating scrubs and refreshes across the channels of a
 //!   [`system::MultiChannelSystem`], with a CE-rate-adaptive scrub
-//!   interval; evaluated by [`coschedule::run_coschedule_campaign`];
-//! * [`hotchannel::run_hot_channel_campaign`] — the refresh–access
+//!   interval; evaluated by [`coschedule::run_coschedule_campaign_threaded`];
+//! * [`hotchannel::run_hot_channel_campaign_threaded`] — the refresh–access
 //!   parallelism campaign: DARP deferral, demand-aware slot skewing, and
 //!   SARP subarray overlap versus the static baseline on a channel whose
 //!   demand pins a hot page open on every bank;
 //! * [`digest`] — deterministic FNV-1a state digests over run results,
 //!   the replay-verification currency of the fleet orchestrator;
-//! * [`report`] — text tables printed by the bench harness.
+//! * [`report`] — text tables printed by the `smart-refresh` CLI and the
+//!   bench harness.
 //!
 //! ```no_run
 //! use smartrefresh_sim::figures::{Evaluation, FigureId};
@@ -58,8 +59,8 @@ pub mod system;
 pub mod thermal;
 
 pub use coschedule::{
-    run_coschedule_campaign, run_coschedule_campaign_threaded, run_coschedule_setup,
-    CoscheduleCampaignResult, CoscheduleConfig, CoscheduleOutcome, Load, Setup,
+    run_coschedule_campaign_threaded, run_coschedule_setup, CoscheduleCampaignResult,
+    CoscheduleConfig, CoscheduleOutcome, Load, Setup,
 };
 pub use digest::{digest_energy, digest_run, Digest64};
 pub use experiment::{
@@ -71,8 +72,8 @@ pub use faults::{
 };
 pub use figures::{BenchPair, CorpusId, Evaluation, Figure, FigureId, FigureRow};
 pub use hotchannel::{
-    run_hot_channel_campaign, run_hot_channel_campaign_threaded, run_hot_channel_setup,
-    HotChannelCampaignResult, HotChannelConfig, HotChannelOutcome, HotSetup,
+    run_hot_channel_campaign_threaded, run_hot_channel_setup, HotChannelCampaignResult,
+    HotChannelConfig, HotChannelOutcome, HotSetup,
 };
 pub use parallel::{default_threads, par_map, par_map_mut, resolve_threads, MAX_DEFAULT_THREADS};
 pub use powerdown::{

@@ -18,8 +18,9 @@
 //!   refresh into a [`DegradeCause::DisturbanceStorm`] CBR fallback
 //!   without panicking — graceful degradation, not silent corruption.
 //!
-//! `examples/rfm.rs` prints the table and `crates/sim/tests/rfm.rs` pins
-//! the expectations (including seed determinism) in CI.
+//! `smart-refresh campaign rfm` prints the table and
+//! `crates/sim/tests/rfm.rs` pins the expectations (including seed
+//! determinism) in CI.
 
 use smartrefresh_core::{
     DegradationEvent, DegradeCause, RefreshPolicy, SmartRefresh, SmartRefreshConfig,

@@ -16,8 +16,8 @@
 //!   instead of adding to them ([`scrub_savings`] measures the
 //!   refresh-energy saved net of the scrub energy spent).
 //!
-//! `examples/scrub.rs` prints the table and exits nonzero when any
-//! scenario fails; `crates/sim/tests/scrub.rs` pins the expectations.
+//! `smart-refresh campaign scrub` prints the table and exits nonzero when
+//! any scenario fails; `crates/sim/tests/scrub.rs` pins the expectations.
 
 use smartrefresh_core::{
     DegradationEvent, DegradeCause, RefreshPolicy, SmartRefresh, SmartRefreshConfig,

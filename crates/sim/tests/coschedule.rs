@@ -6,7 +6,7 @@ use smartrefresh_ctrl::SimError;
 use smartrefresh_dram::configs::conventional_2gb;
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_sim::coschedule::{
-    run_coschedule_campaign, run_coschedule_setup, CoscheduleConfig, Load, Setup,
+    run_coschedule_campaign_threaded, run_coschedule_setup, CoscheduleConfig, Load, Setup,
 };
 use smartrefresh_sim::digest::Digest64;
 use smartrefresh_sim::report::render_coschedule;
@@ -137,9 +137,9 @@ fn clean_run_slows_down_and_cuts_page_closures() {
 /// reproduces the same counters.
 #[test]
 fn campaign_holds_and_is_deterministic() {
-    let a = run_coschedule_campaign(&cfg()).unwrap();
+    let a = run_coschedule_campaign_threaded(&cfg(), 2).unwrap();
     assert!(a.all_hold(), "campaign failed: {a:#?}");
-    let b = run_coschedule_campaign(&cfg()).unwrap();
+    let b = run_coschedule_campaign_threaded(&cfg(), 2).unwrap();
     assert_eq!(a.coscheduled_clean.scrubs, b.coscheduled_clean.scrubs);
     assert_eq!(
         a.coscheduled_storm.ce_corrected,

@@ -5,8 +5,7 @@
 
 use smartrefresh_sim::digest::Digest64;
 use smartrefresh_sim::hotchannel::{
-    run_hot_channel_campaign, run_hot_channel_campaign_threaded, run_hot_channel_setup,
-    HotChannelConfig, HotSetup,
+    run_hot_channel_campaign_threaded, run_hot_channel_setup, HotChannelConfig, HotSetup,
 };
 use smartrefresh_sim::report::render_hotchannel;
 
@@ -20,7 +19,7 @@ fn cfg() -> HotChannelConfig {
 /// the legacy counter on both runs.
 #[test]
 fn darp_beats_the_static_schedule_on_the_hot_channel() {
-    let r = run_hot_channel_campaign(&cfg()).unwrap();
+    let r = run_hot_channel_campaign_threaded(&cfg(), 2).unwrap();
     assert!(r.darp_wins(), "campaign verdict failed");
 
     // Same demand stream on both sides.

@@ -1,7 +1,9 @@
-//! `smart-refresh` — command-line interface to the reproduction.
+//! `smart-refresh` — command-line interface to the reproduction, and the
+//! one entry point for the paper's figures and the resilience campaigns.
 //!
 //! ```text
-//! smart-refresh figures [figNN|all] [--threads N]
+//! smart-refresh figures [figNN|all] [--threads N] [--scale S] [--ecc on|off] [--csv DIR]
+//! smart-refresh campaign <faults|scrub|coschedule|powerdown|rfm|darp|all> [--threads N]
 //! smart-refresh run --workload <name> --module <2gb|4gb|3d64|3d32> --policy <cbr|ras|burst|smart|none> [--scale S]
 //! smart-refresh record --workload <name> --module <...> --seconds <S> --out <file>
 //! smart-refresh replay --trace <file> --module <...> --policy <...>
@@ -17,7 +19,8 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
-use smart_refresh::core::SmartRefreshConfig;
+use smart_refresh::core::{write_atomic, SmartRefreshConfig};
+use smart_refresh::ctrl::SimError;
 use smart_refresh::dram::configs::{
     conventional_2gb, conventional_4gb, stacked_3d_64mb, ModuleConfig,
 };
@@ -30,16 +33,29 @@ use smart_refresh::orchestrator::{
 };
 use smart_refresh::sim::figures::{Evaluation, FigureId};
 use smart_refresh::sim::parallel::resolve_threads;
-use smart_refresh::sim::report::{render_figure, render_run};
-use smart_refresh::sim::{run_experiment, ExperimentConfig, PolicyKind, Topology};
+use smart_refresh::sim::report::{
+    figure_csv, render_campaign, render_coschedule, render_figure, render_hotchannel,
+    render_powerdown_campaign, render_rfm, render_run, render_scrub_campaign,
+};
+use smart_refresh::sim::{
+    run_campaign, run_coschedule_campaign_threaded, run_experiment,
+    run_hot_channel_campaign_threaded, run_powerdown_campaign, run_rfm_campaign,
+    run_scrub_campaign, CampaignConfig, CoscheduleConfig, ExperimentConfig, HotChannelConfig,
+    PolicyKind, RfmCampaignConfig, Topology,
+};
 use smart_refresh::workloads::trace::{read_trace, write_trace};
-use smart_refresh::workloads::{catalog, find, AccessGenerator};
+use smart_refresh::workloads::{catalog, find, AccessGenerator, WorkloadSpec};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let result = match cmd {
         "figures" => cmd_figures(&args[1..]),
+        "campaign" => match cmd_campaign(&args[1..]) {
+            // A failed campaign has already reported in its own voice.
+            Ok(false) => return ExitCode::FAILURE,
+            other => other.map(|_| ()),
+        },
         "run" => cmd_run(&args[1..]),
         "sweep" => cmd_sweep(&args[1..]),
         "record" => cmd_record(&args[1..]),
@@ -69,7 +85,10 @@ fn print_help() {
         "smart-refresh — reproduction of Smart Refresh (MICRO 2007)\n\
          \n\
          USAGE:\n\
-         \u{20}  smart-refresh figures [figNN|all] [--threads N]   regenerate evaluation figures\n\
+         \u{20}  smart-refresh figures [figNN|all] [--threads N] [--scale S] [--ecc on|off]\n\
+         \u{20}      [--csv DIR]                         regenerate evaluation figures\n\
+         \u{20}  smart-refresh campaign <faults|scrub|coschedule|powerdown|rfm|darp|all>\n\
+         \u{20}      [--threads N]                       resilience campaigns (nonzero exit on failure)\n\
          \u{20}  smart-refresh run --workload W --module M --policy P [--scale S] [--seed N]\n\
          \u{20}  smart-refresh sweep --workload W --module M [--scale S]   counter/segment sweep\n\
          \u{20}  smart-refresh record --workload W --module M --seconds S --out FILE\n\
@@ -86,10 +105,12 @@ fn print_help() {
          MODULES:  2gb | 4gb | 3d64 | 3d32  (orchestrate adds mini | mini3d)\n\
          POLICIES: cbr | ras | burst | smart | none  (orchestrate: cbr|ras|burst|smart|ra)\n\
          FAULTS:   clean | dist  (orchestrate fault-regime axis; dist arms ECC+RFM)\n\
-         ENV:      SMARTREFRESH_SCALE scales figure simulation spans\n\
-         \u{20}         SMARTREFRESH_THREADS sets the simulation worker count\n\
+         FIGURES:  --scale scales the simulated spans (default 1.0); --ecc on prices\n\
+         \u{20}         SECDED + patrol scrub into the 3D-stacked Figs 12-17\n\
+         ENV:      SMARTREFRESH_THREADS sets the simulation worker count\n\
          \u{20}         (positive integer; --threads wins; results are\n\
-         \u{20}         bit-identical at any thread count)"
+         \u{20}         bit-identical at any thread count)\n\
+         \u{20}         SMARTREFRESH_SANITIZE=1 runs the DDR2 protocol sanitizer"
     );
 }
 
@@ -101,14 +122,16 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 }
 
 /// Rejects flags a subcommand does not understand and surplus positional
-/// arguments, in the same voice as the unknown-command path. Every flag in
-/// this CLI takes a value, so each recognised flag consumes two tokens.
-fn check_flags(
+/// arguments, in the same voice as the unknown-command path, and returns
+/// the first positional argument. Every flag in this CLI takes a value,
+/// so each recognised flag consumes two tokens.
+fn check_flags<'a>(
     cmd: &str,
-    args: &[String],
+    args: &'a [String],
     allowed: &[&str],
     max_positionals: usize,
-) -> Result<(), String> {
+) -> Result<Option<&'a str>, String> {
+    let mut first = None;
     let mut positionals = 0usize;
     let mut i = 0usize;
     while i < args.len() {
@@ -124,6 +147,7 @@ fn check_flags(
             }
             i += 2;
         } else {
+            first = first.or(Some(a.as_str()));
             positionals += 1;
             i += 1;
         }
@@ -133,27 +157,33 @@ fn check_flags(
             "unexpected argument for `smart-refresh {cmd}`; try `smart-refresh help`"
         ));
     }
-    Ok(())
+    Ok(first)
 }
 
-fn parse_module(name: &str) -> Result<(ModuleConfig, DramPowerParams, Topology), String> {
+type Module = (&'static str, ModuleConfig, DramPowerParams, Topology);
+
+fn parse_module(name: &str) -> Result<Module, String> {
     match name {
         "2gb" => Ok((
+            "2gb",
             conventional_2gb(),
             DramPowerParams::ddr2_2gb(),
             Topology::Conventional,
         )),
         "4gb" => Ok((
+            "4gb",
             conventional_4gb(),
             DramPowerParams::ddr2_4gb(),
             Topology::Conventional,
         )),
         "3d64" => Ok((
+            "3d64",
             stacked_3d_64mb(Duration::from_ms(64)),
             DramPowerParams::stacked_3d_64mb(),
             Topology::Stacked,
         )),
         "3d32" => Ok((
+            "3d32",
             stacked_3d_64mb(Duration::from_ms(32)),
             DramPowerParams::stacked_3d_64mb(),
             Topology::Stacked,
@@ -178,61 +208,240 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
 fn build_config(args: &[String]) -> Result<(ExperimentConfig, &'static str), String> {
     let module_name = flag(args, "--module").unwrap_or_else(|| "2gb".into());
     let policy_name = flag(args, "--policy").unwrap_or_else(|| "smart".into());
-    let scale: f64 = flag(args, "--scale")
-        .map(|s| s.parse().map_err(|_| format!("bad --scale {s:?}")))
-        .transpose()?
-        .unwrap_or(1.0);
-    let seed: u64 = flag(args, "--seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed {s:?}")))
-        .transpose()?
-        .unwrap_or(0x5eed);
-    let (module, power, topology) = parse_module(&module_name)?;
+    let scale: f64 = parse_num(args, "--scale", 1.0)?;
+    let (module_name, module, power, topology) = parse_module(&module_name)?;
     let policy = parse_policy(&policy_name)?;
     let mut cfg = match topology {
         Topology::Conventional => ExperimentConfig::conventional(module, power, policy),
         Topology::Stacked => ExperimentConfig::stacked(module, power, policy),
     }
     .scaled(scale);
-    cfg.seed = seed;
+    cfg.seed = parse_num(args, "--seed", 0x5eed)?;
     cfg.reference = Duration::from_ms(64);
-    let module_static: &'static str = match module_name.as_str() {
-        "2gb" => "2gb",
-        "4gb" => "4gb",
-        "3d64" => "3d64",
-        _ => "3d32",
-    };
-    Ok((cfg, module_static))
+    Ok((cfg, module_name))
 }
 
-fn lookup_spec(
-    args: &[String],
-    cfg_topology: Topology,
-) -> Result<smart_refresh::workloads::WorkloadSpec, String> {
+/// The `--workload` spec as the figures size it for `module`: the 4 GB
+/// module runs the conventional spec at Figs 9–11's rescaled coverage.
+fn lookup_spec(args: &[String], module: &str) -> Result<WorkloadSpec, String> {
     let name = flag(args, "--workload").ok_or("missing --workload")?;
     let entry = find(&name).ok_or_else(|| format!("unknown workload {name:?}; see `list`"))?;
-    Ok(match cfg_topology {
-        Topology::Conventional => entry.conventional,
-        Topology::Stacked => entry.stacked,
+    Ok(match module {
+        "2gb" => entry.conventional,
+        "4gb" => entry.conventional_4gb(),
+        _ => entry.stacked,
     })
 }
 
 fn cmd_figures(args: &[String]) -> Result<(), String> {
-    check_flags("figures", args, &["--threads"], 1)?;
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let which = check_flags(
+        "figures",
+        args,
+        &["--threads", "--scale", "--ecc", "--csv"],
+        1,
+    )?
+    .unwrap_or("all");
     let threads = resolve_threads(flag(args, "--threads").as_deref()).map_err(|e| e.to_string())?;
-    let mut eval = Evaluation::from_env().with_threads(threads);
+    let scale: f64 = parse_num(args, "--scale", 1.0)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("bad --scale {scale:?} (must be positive)"));
+    }
+    let mut eval = Evaluation::with_scale(scale).with_threads(threads);
+    match flag(args, "--ecc").as_deref() {
+        None | Some("off") => {}
+        Some("on") => eval = eval.with_ecc(),
+        Some(other) => return Err(format!("bad --ecc {other:?} (on|off)")),
+    }
+    let csv_dir = flag(args, "--csv");
+    if let Some(dir) = &csv_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create csv dir {dir}: {e}"))?;
+    }
     let mut matched = false;
     for id in FigureId::ALL {
-        if which == "all" || format!("{id:?}").to_lowercase() == which.to_lowercase() {
-            matched = true;
-            let fig = eval.figure(id).map_err(|e| e.to_string())?;
-            println!("{}", render_figure(&fig));
+        let name = format!("{id:?}").to_lowercase();
+        if which != "all" && name != which.to_lowercase() {
+            continue;
+        }
+        matched = true;
+        let fig = eval.figure(id).map_err(|e| e.to_string())?;
+        println!("{}", render_figure(&fig));
+        if let Some(dir) = &csv_dir {
+            // Lowercase only the file name: the directory is user input
+            // and must keep its case.
+            let path = format!("{dir}/{name}.csv");
+            write_atomic(path.as_ref(), figure_csv(&fig).as_bytes())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("wrote {path}");
         }
     }
     if !matched {
         return Err(format!("unknown figure {which:?} (fig06..fig18 or all)"));
     }
     Ok(())
+}
+
+/// One resilience campaign as the command line runs it.
+struct Campaign {
+    /// The `campaign <name>` argument.
+    name: &'static str,
+    /// The campaign's fixed seed.
+    seed: u64,
+    /// The configuration line printed above the report.
+    header: fn(u64) -> String,
+    /// Runs the campaign on the given worker count and returns its
+    /// rendered report and verdict.
+    run: fn(u64, usize) -> Result<(String, bool), SimError>,
+    /// Names the campaign in its `… campaign aborted` / `… failed` lines.
+    label: &'static str,
+    /// Why a failing verdict failed.
+    failure: &'static str,
+}
+
+fn single_channel_header(cfg: &CampaignConfig) -> String {
+    format!(
+        "module {} ({} rows, retention {}), horizon {}, one access per {}",
+        cfg.module.name,
+        cfg.module.geometry.total_rows(),
+        cfg.module.timing.retention,
+        cfg.horizon,
+        cfg.access_gap,
+    )
+}
+
+fn multi_channel_header(
+    module: &ModuleConfig,
+    channels: impl std::fmt::Display,
+    epochs: impl std::fmt::Display,
+) -> String {
+    format!(
+        "module {} ({channels} channels x {} rows, retention {}), {epochs} epochs",
+        module.name,
+        module.geometry.total_rows(),
+        module.timing.retention,
+    )
+}
+
+/// Every campaign, in the order `campaign all` runs them.
+const CAMPAIGNS: [Campaign; 6] = [
+    Campaign {
+        name: "faults",
+        seed: 0xfa17,
+        header: |seed| single_channel_header(&CampaignConfig::quick(seed)),
+        run: |seed, _| {
+            let r = run_campaign(&CampaignConfig::quick(seed))?;
+            Ok((render_campaign(&r), r.all_hold()))
+        },
+        label: "fault",
+        failure: "an injected fault escaped detection",
+    },
+    Campaign {
+        name: "scrub",
+        seed: 0x5c2b,
+        header: |seed| single_channel_header(&CampaignConfig::quick(seed)),
+        run: |seed, _| {
+            let r = run_scrub_campaign(&CampaignConfig::quick(seed))?;
+            Ok((render_scrub_campaign(&r), r.all_hold()))
+        },
+        label: "scrub",
+        failure: "an error was not corrected or escalated",
+    },
+    Campaign {
+        name: "coschedule",
+        seed: 0xC05C,
+        header: |seed| {
+            let cfg = CoscheduleConfig::quick(seed);
+            multi_channel_header(&cfg.module, cfg.channels, cfg.epochs)
+        },
+        run: |seed, threads| {
+            let r = run_coschedule_campaign_threaded(&CoscheduleConfig::quick(seed), threads)?;
+            Ok((render_coschedule(&r), r.all_hold()))
+        },
+        label: "co-scheduling",
+        failure: "a coverage, interference, or adaptation clause failed",
+    },
+    Campaign {
+        name: "powerdown",
+        seed: 0x90da,
+        header: |seed| single_channel_header(&CampaignConfig::quick(seed)),
+        run: |seed, _| {
+            let r = run_powerdown_campaign(&CampaignConfig::quick(seed))?;
+            Ok((render_powerdown_campaign(&r), r.all_hold()))
+        },
+        label: "counter power-state",
+        failure: "a policy broke its contract",
+    },
+    Campaign {
+        name: "rfm",
+        seed: 0xfa17,
+        header: |seed| {
+            let cfg = RfmCampaignConfig::quick(seed);
+            format!(
+                "module {} ({} rows, retention {}), horizon {}, scrub period {}",
+                cfg.module.name,
+                cfg.module.geometry.total_rows(),
+                cfg.module.timing.retention,
+                cfg.horizon,
+                cfg.scrub_period,
+            )
+        },
+        run: |seed, _| {
+            let r = run_rfm_campaign(&RfmCampaignConfig::quick(seed))?;
+            Ok((render_rfm(&r), r.all_hold()))
+        },
+        label: "rfm",
+        failure: "a rowhammer clause did not hold",
+    },
+    Campaign {
+        name: "darp",
+        seed: 0xDA59,
+        header: |seed| {
+            let cfg = HotChannelConfig::quick(seed);
+            multi_channel_header(&cfg.module, cfg.channels, cfg.epochs)
+        },
+        run: |seed, threads| {
+            let r = run_hot_channel_campaign_threaded(&HotChannelConfig::quick(seed), threads)?;
+            Ok((render_hotchannel(&r), r.darp_wins()))
+        },
+        label: "hot-channel",
+        failure: "DARP/SARP did not beat the static schedule",
+    },
+];
+
+/// Runs the named campaign (or all of them) and returns whether every
+/// one held. Failures are reported on stderr in each campaign's own
+/// voice; `Err` is reserved for usage errors.
+fn cmd_campaign(args: &[String]) -> Result<bool, String> {
+    let which = check_flags("campaign", args, &["--threads"], 1)?.ok_or_else(|| {
+        "missing campaign name (faults|scrub|coschedule|powerdown|rfm|darp|all)".to_string()
+    })?;
+    let selected: Vec<&Campaign> = CAMPAIGNS
+        .iter()
+        .filter(|c| which == "all" || c.name == which)
+        .collect();
+    if selected.is_empty() {
+        return Err(format!(
+            "unknown campaign {which:?} (faults|scrub|coschedule|powerdown|rfm|darp|all)"
+        ));
+    }
+    let threads = resolve_threads(flag(args, "--threads").as_deref()).map_err(|e| e.to_string())?;
+    let mut all_held = true;
+    for c in selected {
+        println!("{}\n", (c.header)(c.seed));
+        match (c.run)(c.seed, threads) {
+            Ok((report, held)) => {
+                println!("{report}");
+                if !held {
+                    eprintln!("{} campaign failed: {}", c.label, c.failure);
+                    all_held = false;
+                }
+            }
+            Err(e) => {
+                eprintln!("{} campaign aborted: {e}", c.label);
+                all_held = false;
+            }
+        }
+    }
+    Ok(all_held)
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -243,7 +452,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         0,
     )?;
     let (cfg, module_name) = build_config(args)?;
-    let spec = lookup_spec(args, cfg.topology)?;
+    let spec = lookup_spec(args, module_name)?;
     let r = run_experiment(&cfg, &spec).map_err(|e| e.to_string())?;
     println!("module {module_name} | {}", render_run(&r));
     println!("{}", r.energy);
@@ -258,7 +467,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         0,
     )?;
     let (base_cfg, module_name) = build_config(args)?;
-    let spec = lookup_spec(args, base_cfg.topology)?;
+    let spec = lookup_spec(args, module_name)?;
     let baseline = {
         let mut c = base_cfg.clone();
         c.policy = PolicyKind::CbrDistributed;
@@ -314,8 +523,8 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         ],
         0,
     )?;
-    let (cfg, _) = build_config(args)?;
-    let spec = lookup_spec(args, cfg.topology)?;
+    let (cfg, module_name) = build_config(args)?;
+    let spec = lookup_spec(args, module_name)?;
     let seconds: f64 = flag(args, "--seconds")
         .map(|s| s.parse().map_err(|_| format!("bad --seconds {s:?}")))
         .transpose()?

@@ -3,6 +3,16 @@
 
 use std::process::Command;
 
+use smart_refresh::core::SmartRefreshConfig;
+use smart_refresh::dram::configs::conventional_4gb;
+use smart_refresh::dram::time::Duration;
+use smart_refresh::energy::DramPowerParams;
+use smart_refresh::sim::report::{render_campaign, render_run};
+use smart_refresh::sim::{
+    run_campaign, run_experiment, CampaignConfig, ExperimentConfig, PolicyKind,
+};
+use smart_refresh::workloads::{catalog, find};
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_smart-refresh"))
 }
@@ -13,7 +23,7 @@ fn help_lists_subcommands() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     for cmd in [
-        "figures", "run", "sweep", "record", "replay", "list", "info",
+        "figures", "campaign", "run", "sweep", "record", "replay", "list", "info",
     ] {
         assert!(text.contains(cmd), "help missing {cmd}");
     }
@@ -64,6 +74,84 @@ fn run_rejects_unknown_module() {
         .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown module"));
+}
+
+#[test]
+fn run_on_the_4gb_module_uses_the_figures_4gb_workload() {
+    // Figs 9-11 run the conventional spec at the 4 GB coverage factor;
+    // `run --module 4gb` must simulate that same footprint.
+    let out = bin()
+        .args([
+            "run",
+            "--workload",
+            "gcc",
+            "--module",
+            "4gb",
+            "--policy",
+            "smart",
+            "--scale",
+            "0.01",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut cfg = ExperimentConfig::conventional(
+        conventional_4gb(),
+        DramPowerParams::ddr2_4gb(),
+        PolicyKind::Smart(SmartRefreshConfig::paper_defaults()),
+    )
+    .scaled(0.01);
+    cfg.seed = 0x5eed;
+    cfg.reference = Duration::from_ms(64);
+    let spec = find("gcc").expect("catalog has gcc").conventional_4gb();
+    let r = run_experiment(&cfg, &spec).expect("library run");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        text.lines().next(),
+        Some(format!("module 4gb | {}", render_run(&r)).as_str())
+    );
+}
+
+#[test]
+fn campaign_faults_prints_the_library_report() {
+    let out = bin().args(["campaign", "faults"]).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let cfg = CampaignConfig::quick(0xfa17);
+    let header = format!(
+        "module {} ({} rows, retention {}), horizon {}, one access per {}",
+        cfg.module.name,
+        cfg.module.geometry.total_rows(),
+        cfg.module.timing.retention,
+        cfg.horizon,
+        cfg.access_gap,
+    );
+    let report = render_campaign(&run_campaign(&cfg).expect("campaign runs"));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{header}\n\n{report}\n")
+    );
+}
+
+#[test]
+fn campaign_and_figures_reject_bad_values() {
+    let out = bin().args(["campaign", "nope"]).output().expect("spawn");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown campaign"));
+
+    let out = bin()
+        .args(["figures", "fig14", "--ecc", "maybe"])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --ecc"));
 }
 
 #[test]
@@ -288,11 +376,13 @@ fn figures_threads_env_rejects_garbage() {
 #[test]
 fn figures_threads_flag_beats_env_and_runs() {
     // The env value alone would be rejected; the explicit flag wins and
-    // the (tiny, scaled-down) figure regenerates on two workers.
+    // the (tiny, scaled-down) figure regenerates on two workers, with its
+    // CSV written alongside.
+    let dir = std::env::temp_dir().join(format!("smart-refresh-cli-csv-{}", std::process::id()));
     let out = bin()
-        .args(["figures", "fig06", "--threads", "2"])
+        .args(["figures", "fig06", "--threads", "2", "--scale", "0.01"])
+        .args(["--csv", dir.to_str().expect("utf8")])
         .env("SMARTREFRESH_THREADS", "0")
-        .env("SMARTREFRESH_SCALE", "0.01")
         .output()
         .expect("spawn");
     assert!(
@@ -302,4 +392,11 @@ fn figures_threads_flag_beats_env_and_runs() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("Fig06"), "figure output missing: {text}");
+    let csv = std::fs::read_to_string(dir.join("fig06.csv")).expect("fig06.csv written");
+    assert_eq!(
+        csv.lines().count(),
+        1 + catalog().len(),
+        "header + one row per benchmark"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,8 @@
 
 use smart_refresh::sim::report::{render_coschedule, render_hotchannel};
 use smart_refresh::sim::{
-    run_coschedule_campaign, run_hot_channel_campaign, CoscheduleConfig, Digest64, HotChannelConfig,
+    run_coschedule_campaign_threaded, run_hot_channel_campaign_threaded, CoscheduleConfig,
+    Digest64, HotChannelConfig,
 };
 
 const PINNED: u64 = 0xa356_0f9a_c5bb_cf8b;
@@ -19,8 +20,8 @@ fn maintenance_reports_are_pinned() {
     hot.epochs *= 2;
     let mut co = CoscheduleConfig::quick(1);
     co.epochs *= 2;
-    let hr = run_hot_channel_campaign(&hot).expect("hot-channel campaign runs");
-    let cr = run_coschedule_campaign(&co).expect("co-scheduling campaign runs");
+    let hr = run_hot_channel_campaign_threaded(&hot, 2).expect("hot-channel campaign runs");
+    let cr = run_coschedule_campaign_threaded(&co, 2).expect("co-scheduling campaign runs");
     let mut d = Digest64::new();
     d.update_str(&render_hotchannel(&hr));
     d.update_str(&render_coschedule(&cr));
