@@ -1,6 +1,7 @@
 //! The deadline index: which row's deadline comes first? The patrol
 //! scrubber asks it of retention deadlines, the system-level scheduler of
-//! coverage promises (optionally among rows on precharged banks only).
+//! coverage promises (optionally within one bank's contiguous row range,
+//! to find the earliest row on a precharged bank).
 //!
 //! # Example
 //!
@@ -17,8 +18,10 @@
 //! assert_eq!(index.min(), Some((at(5), 3)));
 //! assert_eq!(index.get(3), at(5));
 //!
-//! // Row 3 sits behind an open page: the earliest row elsewhere wins.
-//! assert_eq!(index.min_where(|row| row != 3), Some((at(10), 0)));
+//! // Rows 2..4 form one bank: the earliest row in that range.
+//! assert_eq!(index.min_in(2, 4), Some((at(5), 3)));
+//! assert_eq!(index.min_in(1, 3), Some((at(20), 1)));
+//! assert_eq!(index.min_in(2, 2), None);
 //! ```
 
 use crate::time::Instant;
@@ -34,11 +37,14 @@ use crate::time::Instant;
 /// single integer compare orders by deadline and then by row.
 ///
 /// Rows are `0..n` for the `n` deadlines the tree was built with; every
-/// row always holds a deadline, and `set`/`get` take only those rows.
+/// row always holds a deadline, and `set`/`get`/`min_in` take only those
+/// rows — the padding leaves are never addressable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadlineIndex {
     /// `nodes[1]` is the root; the leaves start at `nodes.len() / 2`.
     nodes: Vec<u128>,
+    /// The row count `n`; leaves `n..` are padding.
+    rows: u64,
 }
 
 impl DeadlineIndex {
@@ -54,12 +60,14 @@ impl DeadlineIndex {
     }
 
     fn leaf(&self, row: u64) -> usize {
+        assert!(row < self.rows, "row {row} out of range 0..{}", self.rows);
         self.nodes.len() / 2 + row as usize
     }
 
     /// A tree over rows `0..deadlines.len()`, row `i` holding the `i`-th
     /// deadline. O(rows).
     pub fn build(deadlines: impl ExactSizeIterator<Item = Instant>) -> Self {
+        let rows = deadlines.len() as u64;
         let leaves = deadlines.len().next_power_of_two();
         let mut nodes = vec![Self::PAD; 2 * leaves];
         for (row, (slot, deadline)) in nodes[leaves..].iter_mut().zip(deadlines).enumerate() {
@@ -68,12 +76,16 @@ impl DeadlineIndex {
         for n in (1..leaves).rev() {
             nodes[n] = nodes[2 * n].min(nodes[2 * n + 1]);
         }
-        DeadlineIndex { nodes }
+        DeadlineIndex { nodes, rows }
     }
 
     /// Re-keys `row` to deadline `at`, in either direction. A match whose
     /// winner comes out unchanged leaves every match above it unchanged
     /// too, so the replay stops there. O(log rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not one of the tree's rows.
     pub fn set(&mut self, row: u64, at: Instant) {
         let mut n = self.leaf(row);
         self.nodes[n] = Self::key(at, row);
@@ -88,6 +100,10 @@ impl DeadlineIndex {
     }
 
     /// The deadline `row` currently holds. O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not one of the tree's rows.
     pub fn get(&self, row: u64) -> Instant {
         Instant::from_ps((self.nodes[self.leaf(row)] >> 64) as u64)
     }
@@ -98,33 +114,37 @@ impl DeadlineIndex {
         Self::unpack(self.nodes[1])
     }
 
-    /// The earliest `(deadline, row)` among rows `pred` accepts, ties to
-    /// the lowest row — the same answer as a linear filter-then-min, since
-    /// every inner node holds its subtree's minimum. The descent tries the
-    /// earlier child first and skips any subtree whose winner is no
-    /// earlier than the best accepted row so far, so `pred` is asked only
-    /// about rows that could still win.
-    pub fn min_where(&self, mut pred: impl FnMut(u64) -> bool) -> Option<(Instant, u64)> {
-        Self::unpack(self.best_where(1, Self::PAD, &mut pred))
-    }
-
-    /// The smaller of `best` and the earliest accepted key under node `n`.
-    fn best_where(&self, n: usize, best: u128, pred: &mut impl FnMut(u64) -> bool) -> u128 {
-        let key = self.nodes[n];
-        if key >= best {
-            return best;
+    /// The earliest `(deadline, row)` among rows `lo..hi`, ties to the
+    /// lowest row; `None` for an empty range. A bottom-up range minimum:
+    /// the two boundaries climb toward each other, folding in each node
+    /// that covers the range wholly from one side, so at most two nodes
+    /// per level are read. O(log rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi` exceeds the row count.
+    pub fn min_in(&self, lo: u64, hi: u64) -> Option<(Instant, u64)> {
+        assert!(
+            hi <= self.rows,
+            "range end {hi} out of range 0..={}",
+            self.rows
+        );
+        let leaves = self.nodes.len() / 2;
+        let (mut l, mut r) = (leaves + lo as usize, leaves + hi as usize);
+        let mut best = Self::PAD;
+        while l < r {
+            if l & 1 == 1 {
+                best = best.min(self.nodes[l]);
+                l += 1;
+            }
+            if r & 1 == 1 {
+                r -= 1;
+                best = best.min(self.nodes[r]);
+            }
+            l /= 2;
+            r /= 2;
         }
-        if n >= self.nodes.len() / 2 {
-            return if pred(key as u64) { key } else { best };
-        }
-        let (l, r) = (2 * n, 2 * n + 1);
-        let (first, second) = if self.nodes[l] <= self.nodes[r] {
-            (l, r)
-        } else {
-            (r, l)
-        };
-        let best = self.best_where(first, best, pred);
-        self.best_where(second, best, pred)
+        Self::unpack(best)
     }
 }
 
@@ -145,15 +165,31 @@ mod tests {
         DeadlineIndex::build(deadlines.iter().map(|&ps| Instant::from_ps(ps)))
     }
 
+    /// The earliest row among the banks `open` leaves precharged, each
+    /// bank `bank_rows` contiguous rows — the scheduler's victim query.
+    fn closed_banks_min(
+        index: &DeadlineIndex,
+        open: u64,
+        banks: u64,
+        bank_rows: u64,
+    ) -> Option<(Instant, u64)> {
+        (0..banks)
+            .filter(|b| (open >> b) & 1 == 0)
+            .filter_map(|b| index.min_in(b * bank_rows, (b + 1) * bank_rows))
+            .min()
+    }
+
     /// Seeded re-key motions over 96 rows (not a power of two): plain
     /// sets, raise-only and tighten-only re-keys, and bulk re-keys of a
-    /// third of the rows at one shared deadline. `min`, `get` and the
-    /// bank-masked `min_where` must match the linear scan, and an
-    /// early-stopped replay must leave the same tree a rebuild would.
+    /// third of the rows at one shared deadline. `min`, `get`, the
+    /// bank-masked minimum over `min_in` ranges and random `min_in`
+    /// ranges must match the linear scan, and an early-stopped replay must
+    /// leave the same tree a rebuild would.
     #[test]
     fn agrees_with_linear_scan_oracle() {
         const ROWS: usize = 96;
         const BANKS: u64 = 8;
+        const BANK_ROWS: u64 = ROWS as u64 / BANKS;
         for seed in 1..=8u64 {
             let mut rng = Rng::seed_from_u64(0x5eed_0000 + seed);
             // Small keys so that ties are common.
@@ -181,13 +217,22 @@ mod tests {
                 assert_eq!(index.get(row as u64), Instant::from_ps(next));
                 if step % 5 == 0 {
                     let open = rng.next_u64() % (1 << BANKS);
-                    let closed = |r: u64| (open >> (r % BANKS)) & 1 == 0;
+                    let closed = |r: u64| (open >> (r / BANK_ROWS)) & 1 == 0;
                     assert_eq!(index.min(), scan_min(&oracle, |_| true), "step {step}");
                     assert_eq!(
-                        index.min_where(closed),
+                        closed_banks_min(&index, open, BANKS, BANK_ROWS),
                         scan_min(&oracle, closed),
                         "step {step}, open banks {open:#x}"
                     );
+                    let lo = rng.gen_range(0..ROWS as u64 + 1);
+                    let hi = rng.gen_range(lo..ROWS as u64 + 1);
+                    assert_eq!(
+                        index.min_in(lo, hi),
+                        scan_min(&oracle, |r| (lo..hi).contains(&r)),
+                        "step {step}, rows {lo}..{hi}"
+                    );
+                    assert_eq!(index.min_in(lo, lo), None, "step {step}, empty at {lo}");
+                    assert_eq!(index.min_in(0, ROWS as u64), index.min(), "step {step}");
                     assert_eq!(index, build(&oracle), "step {step}");
                 }
             }
@@ -201,25 +246,47 @@ mod tests {
             index.set(row, Instant::from_ps(2));
         }
         assert_eq!(index.min(), Some((Instant::from_ps(2), 1)));
-        assert_eq!(index.min_where(|r| r != 1), Some((Instant::from_ps(2), 3)));
-        assert_eq!(
-            index.min_where(|r| r % 2 == 0),
-            Some((Instant::from_ps(2), 4))
-        );
+        assert_eq!(index.min_in(2, 5), Some((Instant::from_ps(2), 3)));
+        assert_eq!(index.min_in(4, 5), Some((Instant::from_ps(2), 4)));
+        assert_eq!(index.min_in(0, 5), index.min());
+        assert_eq!(index.min_in(0, 1), Some((Instant::from_ps(9), 0)));
     }
 
     #[test]
     fn reject_all_and_tiny_trees() {
         let index = build(&[5, 1, 7]);
-        assert_eq!(index.min_where(|_| false), None);
+        assert_eq!(index.min_in(0, 0), None);
+        assert_eq!(index.min_in(3, 3), None);
+        assert_eq!(index.min_in(0, 3), Some((Instant::from_ps(1), 1)));
         let empty = build(&[]);
         assert_eq!(empty.min(), None);
-        assert_eq!(empty.min_where(|_| true), None);
+        assert_eq!(empty.min_in(0, 0), None);
         let mut one = build(&[42]);
         assert_eq!(one.min(), Some((Instant::from_ps(42), 0)));
         one.set(0, Instant::from_ps(7));
         assert_eq!(one.get(0), Instant::from_ps(7));
-        assert_eq!(one.min_where(|_| true), Some((Instant::from_ps(7), 0)));
-        assert_eq!(one.min_where(|_| false), None);
+        assert_eq!(one.min_in(0, 1), Some((Instant::from_ps(7), 0)));
+        assert_eq!(one.min_in(1, 1), None);
+    }
+
+    /// Row 3 of a 3-row tree is a padding leaf (4 leaves): re-keying it
+    /// would plant a phantom row that could win the root.
+    #[test]
+    #[should_panic(expected = "row 3 out of range 0..3")]
+    fn set_rejects_a_padding_row() {
+        let mut index = build(&[5, 6, 7]);
+        index.set(3, Instant::from_ps(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "row 3 out of range 0..3")]
+    fn get_rejects_a_padding_row() {
+        build(&[5, 6, 7]).get(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "range end 4 out of range 0..=3")]
+    fn min_in_rejects_a_range_into_the_padding() {
+        build(&[5, 6, 7]).min_in(0, 4);
     }
 }

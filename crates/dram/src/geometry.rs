@@ -42,6 +42,12 @@ pub struct Geometry {
     ///
     /// [`decode`]: Geometry::decode
     shifts: Option<(u8, u8, u8, u8)>,
+    /// Shift widths for the power-of-two fast path of [`unflatten`]:
+    /// `log2` of (rows, banks) when both are powers of two, else `None`.
+    /// Derived like `shifts`.
+    ///
+    /// [`unflatten`]: Geometry::unflatten
+    flat_shifts: Option<(u8, u8)>,
 }
 
 impl Geometry {
@@ -74,6 +80,8 @@ impl Geometry {
         } else {
             None
         };
+        let flat_shifts = (rows.is_power_of_two() && banks.is_power_of_two())
+            .then(|| (rows.trailing_zeros() as u8, banks.trailing_zeros() as u8));
         Geometry {
             ranks,
             banks,
@@ -81,6 +89,7 @@ impl Geometry {
             columns,
             data_bits,
             shifts,
+            flat_shifts,
         }
     }
 
@@ -198,8 +207,19 @@ impl Geometry {
     /// # Panics
     ///
     /// Panics if `index >= total_rows()`.
+    #[inline]
     pub fn unflatten(&self, index: u64) -> RowAddr {
         assert!(index < self.total_rows(), "flat row index out of range");
+        if let Some((rows, banks)) = self.flat_shifts {
+            // Rows and banks are powers of two (every shipped module
+            // config): shift/mask instead of three div/mod ops.
+            let rb = index >> rows;
+            return RowAddr {
+                rank: (rb >> banks) as u32,
+                bank: (rb & ((1 << banks) - 1)) as u32,
+                row: (index & ((1 << rows) - 1)) as u32,
+            };
+        }
         let row = (index % u64::from(self.rows)) as u32;
         let rb = index / u64::from(self.rows);
         let bank = (rb % u64::from(self.banks)) as u32;
@@ -320,13 +340,29 @@ mod tests {
         assert_eq!(next_bank.row_addr.row, 0);
     }
 
+    /// Both `unflatten` paths: the shift path (power-of-two rows and
+    /// banks) and the div/mod path (odd rows, odd banks, or both).
     #[test]
     fn flatten_unflatten_roundtrip() {
-        let g = Geometry::new(2, 4, 8, 4, 64);
-        for i in 0..g.total_rows() {
-            let ra = g.unflatten(i);
-            assert_eq!(g.flatten(ra), i);
+        for g in [
+            Geometry::new(2, 4, 8, 4, 64),
+            Geometry::new(3, 5, 37, 4, 64),
+            Geometry::new(2, 3, 16, 4, 64),
+            Geometry::new(3, 4, 10, 4, 64),
+        ] {
+            for i in 0..g.total_rows() {
+                let ra = g.unflatten(i);
+                assert!(ra.rank < g.ranks() && ra.bank < g.banks() && ra.row < g.rows());
+                assert_eq!(g.flatten(ra), i, "{g}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "flat row index out of range")]
+    fn unflatten_rejects_an_index_past_the_end() {
+        let g = table1_2gb();
+        g.unflatten(g.total_rows());
     }
 
     #[test]

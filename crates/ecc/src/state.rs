@@ -77,10 +77,17 @@ impl EccMemory {
 
     /// Decodes the row's representative word as the controller would see
     /// it on a read or scrub.
+    ///
+    /// A row with no flip mask skips the codec: a clean codeword always
+    /// decodes to `Clean` with its own payload, so
+    /// `decode(encode(data))` is known without running it. Only a row
+    /// carrying flips pays for `decode(encode(data) ^ mask)`.
     pub fn read(&self, flat_index: u64) -> Decode {
-        let word = encode(Self::stored_data(flat_index));
-        let mask = self.flips.get(&flat_index).copied().unwrap_or(0);
-        decode(word ^ mask)
+        let data = Self::stored_data(flat_index);
+        match self.flips.get(&flat_index) {
+            None => Decode::Clean { data },
+            Some(&mask) => decode(encode(data) ^ mask),
+        }
     }
 
     /// Clears the row's flip mask — the effect of a corrected write-back
@@ -105,16 +112,20 @@ impl EccMemory {
 mod tests {
     use super::*;
 
+    /// The codec-free clean read gives exactly what the codec would: a
+    /// seeded sweep of flat indices (both ends of the range included)
+    /// against `decode(encode(stored_data))` through the public codec.
     #[test]
     fn clean_rows_read_clean() {
         let mem = EccMemory::new(1);
-        for flat in [0u64, 17, 1023] {
-            assert_eq!(
-                mem.read(flat),
-                Decode::Clean {
-                    data: EccMemory::stored_data(flat)
-                }
-            );
+        let mut rng = Rng::seed_from_u64(0xc1ea_4ead);
+        let flats = [0, 17, 1023, 1 << 40, u64::MAX]
+            .into_iter()
+            .chain((0..10_000).map(|_| rng.next_u64()));
+        for flat in flats {
+            let data = EccMemory::stored_data(flat);
+            assert_eq!(mem.read(flat), Decode::Clean { data }, "row {flat}");
+            assert_eq!(mem.read(flat), decode(encode(data)), "row {flat}");
         }
     }
 
@@ -146,6 +157,13 @@ mod tests {
         mem.clear(7);
         assert!(matches!(mem.read(7), Decode::Clean { .. }));
         assert_eq!(mem.dirty_len(), 0);
+        for bits in [1, 5] {
+            mem.inject_flips(7, bits);
+            assert!(!matches!(mem.read(7), Decode::Clean { .. }), "{bits} flips");
+            mem.clear(7);
+            let data = EccMemory::stored_data(7);
+            assert_eq!(mem.read(7), Decode::Clean { data }, "{bits} flips");
+        }
     }
 
     #[test]

@@ -384,10 +384,12 @@ impl MaintenanceScheduler {
     ///
     /// Both selections come from the channel's [`DeadlineIndex`]: the
     /// outright winner is the tree's root, and the precharged-bank
-    /// preference is a pruned descent ([`DeadlineIndex::min_where`])
-    /// rather than a re-scan of every row. The winners are bit-identical
-    /// to linear `min_by_key(|r| (deadline, r))` scans — the tree's
-    /// contract, enforced by its oracle test.
+    /// preference reads the device's open-bank bitset once and takes the
+    /// smallest range minimum ([`DeadlineIndex::min_in`]) over the
+    /// precharged banks — a bank's rows are one contiguous flat range —
+    /// rather than re-scanning or probing rows one by one. The winners
+    /// are bit-identical to linear `min_by_key(|r| (deadline, r))` scans —
+    /// the tree's contract, enforced by its oracle test.
     fn pick_victim(
         &mut self,
         sys: &MultiChannelSystem,
@@ -406,7 +408,18 @@ impl MaintenanceScheduler {
             self.stats.forced_closures += 1;
             return Some(best);
         }
-        match index.min_where(|r| !ctrl.scrub_would_close_page(r)) {
+        let device = ctrl.device();
+        let (open, rows) = (device.open_banks(), u64::from(device.geometry().rows()));
+        let precharged = (0..u64::from(device.geometry().total_banks())).filter(|&b| {
+            let closed = (open[(b / 64) as usize] >> (b % 64)) & 1 == 0;
+            // The bitset is exactly the bank state the page test reads.
+            debug_assert_eq!(closed, !ctrl.scrub_would_close_page(b * rows));
+            closed
+        });
+        match precharged
+            .filter_map(|b| index.min_in(b * rows, (b + 1) * rows))
+            .min()
+        {
             Some((_, r)) => {
                 self.stats.deferred_scrubs += 1;
                 Some(r)

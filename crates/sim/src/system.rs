@@ -43,6 +43,12 @@ use crate::experiment::PolicyKind;
 pub struct MultiChannelSystem {
     controllers: Vec<MemoryController<Box<dyn RefreshPolicy>>>,
     interleave_bytes: u64,
+    /// `log2(interleave_bytes)`: routing splits an address into block
+    /// index and in-block offset with a shift and a mask.
+    block_shift: u32,
+    /// `log2(channels)` when the channel count is a power of two, so the
+    /// channel is the block index's low bits; `None` routes by div/mod.
+    channel_shift: Option<u32>,
     /// Worker threads [`advance_to`](Self::advance_to) shards channels
     /// across (1 = sequential). Channels are independent simulations
     /// between coordination points and results merge in channel order, so
@@ -107,6 +113,10 @@ impl MultiChannelSystem {
         Ok(MultiChannelSystem {
             controllers,
             interleave_bytes,
+            block_shift: interleave_bytes.trailing_zeros(),
+            channel_shift: channels
+                .is_power_of_two()
+                .then(|| channels.trailing_zeros()),
             threads: 1,
         })
     }
@@ -217,14 +227,19 @@ impl MultiChannelSystem {
     }
 
     /// The channel an address routes to and its channel-local address.
+    #[inline]
     pub fn route(&self, addr: u64) -> (usize, u64) {
-        let n = self.controllers.len() as u64;
-        let block = addr / self.interleave_bytes;
-        let channel = (block % n) as usize;
-        let local_block = block / n;
+        let block = addr >> self.block_shift;
+        let (channel, local_block) = match self.channel_shift {
+            Some(s) => ((block & ((1 << s) - 1)) as usize, block >> s),
+            None => {
+                let n = self.controllers.len() as u64;
+                ((block % n) as usize, block / n)
+            }
+        };
         (
             channel,
-            local_block * self.interleave_bytes + addr % self.interleave_bytes,
+            (local_block << self.block_shift) | (addr & (self.interleave_bytes - 1)),
         )
     }
 
@@ -232,10 +247,20 @@ impl MultiChannelSystem {
     /// address that maps to channel-local address `local` on `channel`.
     /// Together they witness that the interleave is a bijection — every
     /// global address has exactly one `(channel, local)` home and back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is not one of the system's channels.
+    #[inline]
     pub fn global_addr(&self, channel: usize, local: u64) -> u64 {
-        let n = self.controllers.len() as u64;
-        let local_block = local / self.interleave_bytes;
-        (local_block * n + channel as u64) * self.interleave_bytes + local % self.interleave_bytes
+        let n = self.controllers.len();
+        assert!(channel < n, "channel {channel} out of range 0..{n}");
+        let local_block = local >> self.block_shift;
+        let block = match self.channel_shift {
+            Some(s) => (local_block << s) | channel as u64,
+            None => local_block * n as u64 + channel as u64,
+        };
+        (block << self.block_shift) | (local & (self.interleave_bytes - 1))
     }
 
     /// Issues one access through the interleave.
@@ -399,6 +424,13 @@ mod tests {
         assert_eq!(c1, 1);
         assert_eq!(l1 % 4096, 123);
         assert_eq!(sys.global_addr(c1, l1), 4096 + 123);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel 2 out of range 0..2")]
+    fn global_addr_rejects_a_missing_channel() {
+        let sys = MultiChannelSystem::new(mini(), 2, 4096, || PolicyKind::CbrDistributed).unwrap();
+        sys.global_addr(2, 0);
     }
 
     #[test]

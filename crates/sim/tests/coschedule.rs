@@ -19,7 +19,9 @@ fn cfg() -> CoscheduleConfig {
 
 /// Channel address interleaving is a bijection: `route` and `global_addr`
 /// are exact inverses for every channel count and power-of-two interleave
-/// tried, over both dense low addresses and random high ones.
+/// tried, over both dense low addresses and random high ones. Power-of-two
+/// channel counts route by shift and mask, the others (3) by div/mod, so
+/// both routing paths are covered.
 #[test]
 fn channel_interleave_is_a_bijection() {
     let mut rng = Rng::seed_from_u64(0xB17E_C710);
