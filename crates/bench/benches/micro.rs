@@ -103,6 +103,7 @@ fn bench_queue() {
                         bank: 0,
                         row: i,
                     },
+                    true,
                     Instant::ZERO,
                 ),
                 "pending_queue push",

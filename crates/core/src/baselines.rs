@@ -44,6 +44,8 @@ pub struct CbrDistributed {
     geometry: Geometry,
     slot: Duration,
     next_due: Instant,
+    /// The round-robin cursor over `(rank, bank)`, banks innermost.
+    next_rank: u32,
     next_bank: u32,
     pending: VecDeque<RefreshAction>,
     high_water: usize,
@@ -58,6 +60,7 @@ impl CbrDistributed {
             geometry,
             slot,
             next_due: Instant::ZERO + slot,
+            next_rank: 0,
             next_bank: 0,
             pending: VecDeque::new(),
             high_water: 0,
@@ -85,11 +88,15 @@ impl RefreshPolicy for CbrDistributed {
 
     fn advance(&mut self, now: Instant) {
         while self.next_due <= now {
-            let total_banks = self.geometry.total_banks();
-            let bank_idx = self.next_bank;
-            self.next_bank = (self.next_bank + 1) % total_banks;
-            let rank = bank_idx / self.geometry.banks();
-            let bank = bank_idx % self.geometry.banks();
+            let (rank, bank) = (self.next_rank, self.next_bank);
+            self.next_bank += 1;
+            if self.next_bank == self.geometry.banks() {
+                self.next_bank = 0;
+                self.next_rank += 1;
+                if self.next_rank == self.geometry.ranks() {
+                    self.next_rank = 0;
+                }
+            }
             self.pending.push_back(RefreshAction::Cbr { rank, bank });
             self.high_water = self.high_water.max(self.pending.len());
             self.next_due += self.slot;

@@ -159,6 +159,10 @@ pub trait RefreshPolicy: Send {
 
     /// The next instant at which the policy has internal work to do, or
     /// `None` for policies with no schedule (e.g. no-refresh).
+    ///
+    /// It may only move inside [`advance`](RefreshPolicy::advance): the
+    /// controller keeps it between calls to skip its per-access
+    /// bookkeeping while nothing is due.
     fn next_wakeup(&self) -> Option<Instant>;
 
     /// Advances internal state to `now`, moving any due refresh work into

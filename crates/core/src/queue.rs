@@ -24,6 +24,9 @@ use smartrefresh_dram::RowAddr;
 pub struct PendingRefresh {
     /// The row to refresh (RAS-only, explicit address).
     pub row: RowAddr,
+    /// Whether the refresh drives the row address on the bus (and is
+    /// charged bus energy), fixed when the request is enqueued.
+    pub charge_bus: bool,
     /// When the request was enqueued (for latency accounting).
     pub enqueued_at: Instant,
 }
@@ -57,7 +60,7 @@ impl StdError for QueueOverflow {}
 /// use smartrefresh_dram::time::Instant;
 ///
 /// let mut q = PendingRefreshQueue::new(8);
-/// q.push(RowAddr { rank: 0, bank: 0, row: 1 }, Instant::ZERO)?;
+/// q.push(RowAddr { rank: 0, bank: 0, row: 1 }, true, Instant::ZERO)?;
 /// assert_eq!(q.len(), 1);
 /// let req = q.pop().unwrap();
 /// assert_eq!(req.row.row, 1);
@@ -120,7 +123,12 @@ impl PendingRefreshQueue {
     /// Returns [`QueueOverflow`] when the queue is full; per §5 this cannot
     /// happen when the controller drains between ticks, so callers treat it
     /// as a contract violation.
-    pub fn push(&mut self, row: RowAddr, now: Instant) -> Result<(), QueueOverflow> {
+    pub fn push(
+        &mut self,
+        row: RowAddr,
+        charge_bus: bool,
+        now: Instant,
+    ) -> Result<(), QueueOverflow> {
         if self.entries.len() == self.capacity {
             return Err(QueueOverflow {
                 capacity: self.capacity,
@@ -128,6 +136,7 @@ impl PendingRefreshQueue {
         }
         self.entries.push_back(PendingRefresh {
             row,
+            charge_bus,
             enqueued_at: now,
         });
         self.total_pushed += 1;
@@ -163,7 +172,8 @@ mod tests {
     fn fifo_order_is_least_recent_first() {
         let mut q = PendingRefreshQueue::new(4);
         for i in 0..3 {
-            q.push(row(i), Instant::from_ps(u64::from(i))).unwrap();
+            q.push(row(i), true, Instant::from_ps(u64::from(i)))
+                .unwrap();
         }
         assert_eq!(q.pop().unwrap().row, row(0));
         assert_eq!(q.pop().unwrap().row, row(1));
@@ -173,9 +183,9 @@ mod tests {
     #[test]
     fn overflow_is_an_error_not_a_drop() {
         let mut q = PendingRefreshQueue::new(2);
-        q.push(row(0), Instant::ZERO).unwrap();
-        q.push(row(1), Instant::ZERO).unwrap();
-        let err = q.push(row(2), Instant::ZERO).unwrap_err();
+        q.push(row(0), true, Instant::ZERO).unwrap();
+        q.push(row(1), true, Instant::ZERO).unwrap();
+        let err = q.push(row(2), true, Instant::ZERO).unwrap_err();
         assert_eq!(err.capacity, 2);
         assert_eq!(q.len(), 2, "failed push must not enqueue");
     }
@@ -184,12 +194,12 @@ mod tests {
     fn high_water_tracks_peak_occupancy() {
         let mut q = PendingRefreshQueue::new(8);
         for i in 0..5 {
-            q.push(row(i), Instant::ZERO).unwrap();
+            q.push(row(i), true, Instant::ZERO).unwrap();
         }
         for _ in 0..5 {
             q.pop();
         }
-        q.push(row(9), Instant::ZERO).unwrap();
+        q.push(row(9), true, Instant::ZERO).unwrap();
         assert_eq!(q.high_water(), 5);
         assert_eq!(q.total_pushed(), 6);
     }

@@ -126,6 +126,9 @@ pub struct SmartRefresh {
     counters: CounterArray,
     schedule: StaggerSchedule,
     next_tick: u64,
+    /// `next_tick % rows_per_segment`: the walk's offset within each
+    /// segment, kept as a wrap-around cursor instead of a per-tick divide.
+    walk_offset: u64,
     queue: PendingRefreshQueue,
     spill: VecDeque<RefreshAction>,
     sram: SramTraffic,
@@ -167,6 +170,7 @@ impl SmartRefresh {
             counters: CounterArray::new(total, cfg.counter_bits),
             schedule,
             next_tick: 0,
+            walk_offset: 0,
             queue: PendingRefreshQueue::new(cfg.queue_capacity),
             spill: VecDeque::new(),
             sram: SramTraffic::default(),
@@ -304,7 +308,8 @@ impl SmartRefresh {
         self.note_mode(mode, now);
         let charged = mode == PolicyMode::Smart;
         let rps = self.schedule.rows_per_segment();
-        let offset = tick % rps;
+        let offset = self.walk_offset;
+        self.walk_offset = if offset + 1 == rps { 0 } else { offset + 1 };
         let total = self.schedule.total_rows();
         for s in 0..u64::from(self.cfg.segments) {
             let idx = s * rps + offset;
@@ -337,7 +342,7 @@ impl SmartRefresh {
                     row,
                     charge_bus: charged,
                 };
-                if self.queue.push(row, now).is_err() {
+                if self.queue.push(row, charged, now).is_err() {
                     // §5 argues this cannot happen when the controller drains
                     // between ticks; spill rather than drop so data is safe,
                     // and degrade to the CBR sweep since the dispatch
@@ -389,18 +394,13 @@ impl RefreshPolicy for SmartRefresh {
 
     fn pop_pending(&mut self) -> Option<RefreshAction> {
         if let Some(p) = self.queue.pop() {
-            // Whether this entry is charged bus energy was decided at
-            // enqueue time; entries enqueued in smart mode are charged.
-            // The queue stores only the row, so recompute from mode history:
-            // entries are charged unless enqueued during fallback. To keep
-            // the bookkeeping exact the spill path carries the full action;
-            // the common path re-tags from the current mode, which matches
-            // because mode changes only at interval boundaries where the
-            // queue is empty.
-            let charged = self.mode() == PolicyMode::Smart;
+            // Whether the entry is charged bus energy was decided when it
+            // was enqueued (smart mode drives the row address, the fallback
+            // sweep does not) and travels with it: a degrade that fires
+            // before the queue drains must not re-tag it.
             return Some(RefreshAction::RasOnly {
                 row: p.row,
-                charge_bus: charged,
+                charge_bus: p.charge_bus,
             });
         }
         self.spill.pop_front()
@@ -505,6 +505,50 @@ mod tests {
             per_row.iter().all(|&c| c == 2),
             "each row refreshed once per interval: {per_row:?}"
         );
+    }
+
+    #[test]
+    fn degrade_before_the_queue_drains_keeps_the_enqueued_charge() {
+        let mut p = engine(false);
+        let mut t = Instant::ZERO;
+        // Idle counters reach zero after one interval; stop at the first
+        // tick that queues refreshes, in smart mode.
+        while p.pending_len() == 0 {
+            t = p.next_wakeup().expect("smart engine always has a tick");
+            p.advance(t);
+        }
+        assert_eq!(p.mode(), PolicyMode::Smart);
+        let queued = p.pending_len();
+        // A dispatch-path fault degrades the policy mid-drain.
+        p.degrade(DegradeCause::External, t);
+        assert_eq!(p.mode(), PolicyMode::FallbackCbr);
+        let drained = drain(&mut p);
+        assert_eq!(drained.len(), queued);
+        for a in drained {
+            assert!(
+                matches!(
+                    a,
+                    RefreshAction::RasOnly {
+                        charge_bus: true,
+                        ..
+                    }
+                ),
+                "entry enqueued in smart mode lost its bus charge: {a:?}"
+            );
+        }
+        // Entries enqueued after the degrade belong to the fallback sweep,
+        // which drives no row address.
+        while p.pending_len() == 0 {
+            t = p.next_wakeup().expect("smart engine always has a tick");
+            p.advance(t);
+        }
+        assert!(drain(&mut p).iter().all(|a| matches!(
+            a,
+            RefreshAction::RasOnly {
+                charge_bus: false,
+                ..
+            }
+        )));
     }
 
     #[test]

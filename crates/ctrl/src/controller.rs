@@ -127,6 +127,15 @@ pub struct MemoryController<P: RefreshPolicy> {
     /// precharged), so the bound is refreshed on the access path and
     /// recomputed exactly whenever a scan actually runs.
     next_idle_close: Instant,
+    /// Lower bound on the next instant [`advance_to`](Self::advance_to)
+    /// has work to do: the policy's next wakeup or the idle-close bound,
+    /// whichever is sooner, and `Instant::ZERO` whenever a time-driven
+    /// feature engine (faults, ECC, DARP) is installed. Below it
+    /// `advance_to` is a single comparison. Recomputed at the end of every
+    /// full `advance_to` pass (the policy's wakeup only moves inside
+    /// [`RefreshPolicy::advance`]) and lowered by every access that arms
+    /// an idle-close deadline.
+    quiet_until: Instant,
     /// Optional fault injector consulted on the refresh-dispatch path.
     faults: Option<FaultInjector>,
     /// Optional ECC path: SECDED decode on reads, patrol scrub, watchdog.
@@ -161,6 +170,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
             last_cmd_end: Instant::ZERO,
             last_use: vec![Instant::ZERO; banks],
             next_idle_close: Instant::ZERO,
+            quiet_until: Instant::ZERO,
             faults: None,
             ecc: None,
             rfm: None,
@@ -216,6 +226,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
         let now = self.now;
         injector.apply_static_faults(self.device.retention_mut(), &geometry, now);
         self.faults = Some(injector);
+        self.quiet_until = Instant::ZERO;
         self.seed_injected_flips();
         self
     }
@@ -234,6 +245,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// either of which would stall [`advance_to`](Self::advance_to).
     pub fn with_ecc(mut self, cfg: EccConfig) -> Self {
         self.ecc = Some(EccLayer::new(&cfg));
+        self.quiet_until = Instant::ZERO;
         self.seed_injected_flips();
         self
     }
@@ -286,6 +298,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
             });
         }
         self.darp = Some(DarpEngine::new(cfg));
+        self.quiet_until = Instant::ZERO;
         Ok(self)
     }
 
@@ -418,10 +431,13 @@ impl<P: RefreshPolicy> MemoryController<P> {
     }
 
     /// Mirrors a policy time-out-counter reset (open/close/scrub hook) to
-    /// the protocol sanitizer; no-op when the sanitizer is disabled.
+    /// the protocol sanitizer; no-op (and no flat-index lookup) when the
+    /// sanitizer is disabled.
     fn note_policy_reset(&mut self, addr: RowAddr) {
-        let flat = self.device.geometry().flatten(addr);
-        self.device.note_policy_reset(flat);
+        if self.device.protocol_checker().is_some() {
+            let flat = self.device.geometry().flatten(addr);
+            self.device.note_policy_reset(flat);
+        }
     }
 
     /// §4.1: closing a page resets the closed row's time-out counter.
@@ -430,13 +446,17 @@ impl<P: RefreshPolicy> MemoryController<P> {
         self.note_policy_reset(closed);
     }
 
-    /// Precharges `(rank, bank)`'s open page at `pre_at` and tells the
-    /// policy it closed; returns when the precharge completes. The single
-    /// path for demand-side closes: conflict precharge, closed-page
-    /// auto-precharge and idle-page close. CKE accounting is left to the
-    /// caller.
-    fn close_page(&mut self, rank: u32, bank: u32, pre_at: Instant) -> Result<Instant, SimError> {
-        let Some(closed_row) = self.device.bank(rank, bank).open_row() else {
+    /// Precharges the open page of the bank with flat index `bi` at
+    /// `pre_at` and tells the policy it closed; returns when the precharge
+    /// completes. The single path for demand-side closes: conflict
+    /// precharge, closed-page auto-precharge and idle-page close. CKE
+    /// accounting is left to the caller.
+    fn close_page(&mut self, bi: usize, pre_at: Instant) -> Result<Instant, SimError> {
+        let geometry = self.device.geometry();
+        // `unflatten` names the bank by shifts on power-of-two shapes.
+        let first_row = bi as u64 * u64::from(geometry.rows());
+        let Some(closed_row) = self.device.bank_at(bi).open_row() else {
+            let RowAddr { rank, bank, .. } = geometry.unflatten(first_row);
             return Err(SimError::StateInconsistency {
                 what: "page close found no open row on the bank",
                 rank,
@@ -444,16 +464,19 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 at: pre_at,
             });
         };
-        self.device.precharge(rank, bank, pre_at).map_err(|e| {
-            SimError::protocol("precharge", rank, bank, Some(closed_row), pre_at, e)
+        let closed = geometry.unflatten(first_row + u64::from(closed_row));
+        self.device.precharge_at(bi, pre_at).map_err(|e| {
+            SimError::protocol(
+                "precharge",
+                closed.rank,
+                closed.bank,
+                Some(closed_row),
+                pre_at,
+                e,
+            )
         })?;
-        let closed = RowAddr {
-            rank,
-            bank,
-            row: closed_row,
-        };
         self.note_page_closed(closed, pre_at);
-        Ok(self.device.bank(rank, bank).busy_until())
+        Ok(self.device.bank_at(bi).busy_until())
     }
 
     /// Completes a row restore — refresh, scrub or RFM victim refresh —
@@ -498,6 +521,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
         // A changed timeout invalidates the scan-skip bound; force the next
         // close_idle_pages call to rescan and recompute it.
         self.next_idle_close = Instant::ZERO;
+        self.quiet_until = Instant::ZERO;
         self
     }
 
@@ -574,7 +598,26 @@ impl<P: RefreshPolicy> MemoryController<P> {
     ///
     /// Returns [`SimError::Protocol`] on an illegal command, which indicates
     /// a scheduling bug rather than a recoverable condition.
+    #[inline]
     pub fn advance_to(&mut self, t: Instant) -> Result<(), SimError> {
+        debug_assert!(
+            self.policy
+                .next_wakeup()
+                .is_none_or(|w| w >= self.quiet_until),
+            "policy wakeup moved outside RefreshPolicy::advance"
+        );
+        if t < self.quiet_until {
+            // Nothing is due: no policy wakeup, no idle close, and no
+            // feature engine installed.
+            self.now = self.now.max(t);
+            return Ok(());
+        }
+        self.process_due_work(t)
+    }
+
+    /// The body of [`advance_to`](Self::advance_to) once something may be
+    /// due by `t`; ends by recomputing the nothing-due bound.
+    fn process_due_work(&mut self, t: Instant) -> Result<(), SimError> {
         while let Some(wake) = self.policy.next_wakeup() {
             if wake > t {
                 break;
@@ -601,6 +644,15 @@ impl<P: RefreshPolicy> MemoryController<P> {
         }
         self.run_patrol(t)?;
         self.now = self.now.max(t);
+        self.quiet_until = if self.faults.is_some() || self.ecc.is_some() || self.darp.is_some() {
+            Instant::ZERO
+        } else {
+            let idle = match self.page_close_timeout {
+                Some(_) => self.next_idle_close,
+                None => Instant::MAX,
+            };
+            self.policy.next_wakeup().map_or(idle, |w| w.min(idle))
+        };
         Ok(())
     }
 
@@ -609,8 +661,8 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// mid-run; the episode's end restores them. Processed at every policy
     /// wakeup, so transitions take effect within one refresh slot.
     fn apply_vrt_transitions(&mut self, now: Instant) {
-        let geometry = *self.device.geometry();
         if let Some(inj) = self.faults.as_mut() {
+            let geometry = *self.device.geometry();
             inj.apply_vrt_transitions(self.device.retention_mut(), &geometry, now);
         }
     }
@@ -826,37 +878,33 @@ impl<P: RefreshPolicy> MemoryController<P> {
         if now < self.next_idle_close {
             return Ok(());
         }
-        let geometry = *self.device.geometry();
         let mut next_due = Instant::MAX;
         // Walk only banks with an open row (via the device's open-row
         // bitset), in ascending bank order — the same visit order as a
         // full scan, so the precharge sequence (and thus every downstream
         // energy number) is unchanged. Each word is snapshotted before its
-        // banks are processed; a bank this loop closes keeps its stale bit
-        // in the local copy and is skipped by the `open_row` re-check.
+        // banks are processed and each bank is visited once; closing one
+        // bank leaves the others' bits exact.
         for w in 0..self.device.open_banks().len() {
             let mut word = self.device.open_banks()[w];
             while word != 0 {
-                let bank_idx = w as u32 * 64 + word.trailing_zeros();
+                let bi = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let rank = bank_idx / geometry.banks();
-                let bank = bank_idx % geometry.banks();
-                let b = self.device.bank(rank, bank);
-                if b.open_row().is_none() {
-                    continue;
-                }
-                let deadline = self.last_use[bank_idx as usize] + timeout;
+                let deadline = self.last_use[bi] + timeout;
                 if deadline > now {
                     next_due = next_due.min(deadline);
                     continue;
                 }
+                let b = self.device.bank_at(bi);
                 let pre_at = deadline.max(b.earliest_precharge()).max(b.busy_until());
                 if pre_at > now {
-                    // Still legally unclosable: retry on the next call.
-                    next_due = next_due.min(deadline);
+                    // Due but still legally unclosable: retry once it can
+                    // close. Only a demand access moves `pre_at`, and that
+                    // access lowers the bound to its own new deadline.
+                    next_due = next_due.min(pre_at);
                     continue;
                 }
-                let pre_done = self.close_page(rank, bank, pre_at)?;
+                let pre_done = self.close_page(bi, pre_at)?;
                 self.note_command(pre_at, pre_done);
             }
         }
@@ -937,7 +985,8 @@ impl<P: RefreshPolicy> MemoryController<P> {
         now: Instant,
     ) -> Result<(), SimError> {
         let (rank, bank) = action.target_bank();
-        let mut issue_at = now.max(self.device.bank(rank, bank).busy_until());
+        let bi = self.device.geometry().bank_index(rank, bank) as usize;
+        let mut issue_at = now.max(self.device.bank_at(bi).busy_until());
         if let RefreshAction::RasOnly { row, .. } = action {
             if let Some(inj) = &mut self.faults {
                 match inj.perturb_refresh(row, now) {
@@ -960,7 +1009,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
         }
         // If the bank holds an open page the refresh may close it; the
         // policy must see the close so the row's counter resets (§4.1).
-        let was_open = self.device.bank(rank, bank).open_row();
+        let was_open = self.device.bank_at(bi).open_row();
         // Tell the sanitizer how far the action slipped past its due wakeup
         // (DARP deferral and fault delays included) for the per-bank
         // deferral bound.
@@ -991,7 +1040,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
         self.stats.refreshes_issued += 1;
         // The bank's RAA counter gets DDR5's REF relief.
         if let Some(rfm) = self.rfm.as_mut() {
-            rfm.note_refresh(self.device.geometry().bank_index(rank, bank));
+            rfm.note_refresh(bi as u32);
         }
         Ok(())
     }
@@ -1002,10 +1051,10 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// the ECC error state, where the SECDED path classifies them as CEs
     /// or UEs on the next read or scrub.
     fn apply_disturbance(&mut self, aggressor: RowAddr, now: Instant) {
-        let geometry = *self.device.geometry();
         let Some(inj) = self.faults.as_mut() else {
             return;
         };
+        let geometry = *self.device.geometry();
         let flips = inj.note_activation(&geometry, aggressor, now);
         if flips.is_empty() {
             return;
@@ -1023,13 +1072,17 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// target bank sits at RAAMMT, back-pressures the ACT behind a
     /// mandatory RFM command. Returns the earliest instant the ACT may
     /// issue.
-    fn rfm_before_act(&mut self, target: RowAddr, t: Instant) -> Result<Instant, SimError> {
-        let bank_idx = self.device.geometry().bank_index(target.rank, target.bank);
+    fn rfm_before_act(
+        &mut self,
+        bi: usize,
+        target: RowAddr,
+        t: Instant,
+    ) -> Result<Instant, SimError> {
         let Some(rfm) = self.rfm.as_mut() else {
             return Ok(t);
         };
         rfm.roll_windows(t);
-        if !rfm.must_issue_before_act(bank_idx) {
+        if !rfm.must_issue_before_act(bi as u32) {
             return Ok(t);
         }
         self.stats.rfm_backpressure_stalls += 1;
@@ -1088,24 +1141,28 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// workload conditions).
     pub fn access(&mut self, tx: MemTransaction) -> Result<AccessResult, SimError> {
         self.advance_to(tx.arrival)?;
-        let decoded = self.device.geometry().decode(tx.addr);
+        let geometry = self.device.geometry();
+        let decoded = geometry.decode(tx.addr);
         let target = decoded.row_addr;
         let (rank, bank) = (target.rank, target.bank);
+        // Resolved once; every bank-state read and per-bank table below
+        // indexes with it.
+        let bi = geometry.bank_index(rank, bank) as usize;
 
-        let open = self.device.bank(rank, bank).open_row();
-        let outcome = match open {
+        let b = self.device.bank_at(bi);
+        let outcome = match b.open_row() {
             Some(r) if r == target.row => RowBufferOutcome::Hit,
             Some(_) => RowBufferOutcome::Conflict,
             None => RowBufferOutcome::Miss,
         };
 
-        let mut t = tx.arrival.max(self.device.bank(rank, bank).busy_until());
+        let mut t = tx.arrival.max(b.busy_until());
         let first_cmd_at = t;
         if outcome == RowBufferOutcome::Conflict {
             // No CKE credit of its own: the access credits its idle gap
             // up to `first_cmd_at` once the column command is done.
-            let pre_at = t.max(self.device.bank(rank, bank).earliest_precharge());
-            t = self.close_page(rank, bank, pre_at)?;
+            let pre_at = t.max(b.earliest_precharge());
+            t = self.close_page(bi, pre_at)?;
         }
         let mut elective_rfm = false;
         if outcome != RowBufferOutcome::Hit {
@@ -1117,11 +1174,11 @@ impl<P: RefreshPolicy> MemoryController<P> {
             if self.rfm.is_some() {
                 // RAAMMT back-pressure: a bank at the maximum management
                 // threshold must take a mandatory RFM before this ACT.
-                t = self.rfm_before_act(target, t)?;
+                t = self.rfm_before_act(bi, target, t)?;
             }
             let act = self
                 .device
-                .activate(target, t)
+                .activate_at(bi, target.row, t)
                 .map_err(|e| SimError::protocol("activate", rank, bank, Some(target.row), t, e))?;
             self.policy.on_row_opened(target, t);
             self.note_policy_reset(target);
@@ -1130,21 +1187,20 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 b.record(t);
             }
             if let Some(rfm) = self.rfm.as_mut() {
-                elective_rfm =
-                    rfm.note_activate(self.device.geometry().bank_index(rank, bank), target.row);
+                elective_rfm = rfm.note_activate(bi as u32, target.row);
             }
             t = act.bank_ready_at;
         }
         let out = if tx.is_write {
             self.device
-                .write(target, decoded.column, t)
+                .write_at(bi, target.row, decoded.column, t)
                 .map_err(|e| SimError::protocol("write", rank, bank, Some(target.row), t, e))?
         } else {
             self.device
-                .read(target, decoded.column, t)
+                .read_at(bi, target.row, decoded.column, t)
                 .map_err(|e| SimError::protocol("read", rank, bank, Some(target.row), t, e))?
         };
-        if !tx.is_write {
+        if !tx.is_write && self.ecc.is_some() {
             // Read data passes through the SECDED decoder on its way to
             // the requester; an uncorrectable word fails the transaction.
             let flat = self.device.geometry().flatten(target);
@@ -1156,11 +1212,14 @@ impl<P: RefreshPolicy> MemoryController<P> {
             self.policy.on_row_opened(target, t);
             self.note_policy_reset(target);
         }
-        self.last_use[self.device.geometry().bank_index(rank, bank) as usize] = out.bank_ready_at;
+        self.last_use[bi] = out.bank_ready_at;
         if let Some(timeout) = self.page_close_timeout {
             // This access (re)armed the only path that leaves a row open, so
-            // fold its idle-close deadline into the scan-skip lower bound.
-            self.next_idle_close = self.next_idle_close.min(out.bank_ready_at + timeout);
+            // fold its idle-close deadline into the scan-skip lower bound
+            // and into advance_to's nothing-due bound.
+            let deadline = out.bank_ready_at + timeout;
+            self.next_idle_close = self.next_idle_close.min(deadline);
+            self.quiet_until = self.quiet_until.min(deadline);
         }
         self.note_command(first_cmd_at, out.bank_ready_at);
         if self.page_policy == PagePolicy::Closed {
@@ -1168,8 +1227,8 @@ impl<P: RefreshPolicy> MemoryController<P> {
             // until its tRP completes.
             let pre_at = out
                 .bank_ready_at
-                .max(self.device.bank(rank, bank).earliest_precharge());
-            let pre_done = self.close_page(rank, bank, pre_at)?;
+                .max(self.device.bank_at(bi).earliest_precharge());
+            let pre_done = self.close_page(bi, pre_at)?;
             self.note_command(pre_at, pre_done);
         }
         if elective_rfm {

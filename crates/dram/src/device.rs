@@ -48,6 +48,18 @@ struct SarpState {
     busy: Vec<Instant>,
 }
 
+/// The `(rank, bank, row)` name of `row` in the bank with flat index `bi`
+/// (which may be out of range), for errors and the protocol checker — the
+/// paths that need the coordinates back.
+fn row_addr(geometry: &Geometry, bi: usize, row: u32) -> RowAddr {
+    let banks = geometry.banks() as usize;
+    RowAddr {
+        rank: (bi / banks) as u32,
+        bank: (bi % banks) as u32,
+        row,
+    }
+}
+
 /// A DDR2-style DRAM module.
 ///
 /// # Examples
@@ -295,6 +307,17 @@ impl DramDevice {
         &self.banks[self.geometry.bank_index(rank, bank) as usize]
     }
 
+    /// Bank state by flat bank index ([`Geometry::bank_index`]), for a
+    /// caller that has already resolved its `(rank, bank)` pair once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank_index >= total_banks()`.
+    #[inline]
+    pub fn bank_at(&self, bank_index: usize) -> &Bank {
+        &self.banks[bank_index]
+    }
+
     /// Earliest instant an ACTIVATE to `rank` satisfies tRRD and tFAW.
     #[inline]
     pub fn earliest_activate(&self, rank: u32) -> Instant {
@@ -307,27 +330,44 @@ impl DramDevice {
         self.banks.iter().map(|b| b.open_time(now)).sum()
     }
 
-    fn check_addr(&self, addr: RowAddr) -> Result<(), DramError> {
-        if addr.rank >= self.geometry.ranks()
-            || addr.bank >= self.geometry.banks()
-            || addr.row >= self.geometry.rows()
-        {
+    /// Validates `addr`'s `(rank, bank)` and resolves its flat bank index
+    /// (into `banks` and `open_mask`). The row is validated by
+    /// [`flat_at`](Self::flat_at), so a command checks each coordinate
+    /// once.
+    #[inline]
+    fn bank_of(&self, addr: RowAddr) -> Result<usize, DramError> {
+        if addr.rank >= self.geometry.ranks() || addr.bank >= self.geometry.banks() {
             return Err(DramError::AddressOutOfRange { addr });
         }
-        Ok(())
+        Ok((addr.rank * self.geometry.banks() + addr.bank) as usize)
     }
 
-    fn bank_mut(&mut self, rank: u32, bank: u32) -> &mut Bank {
-        let i = self.geometry.bank_index(rank, bank) as usize;
-        &mut self.banks[i]
+    /// Validates `row` of the bank with flat index `bi` and resolves its
+    /// flat row index (into the retention tracker). Every command carries
+    /// the two flat indices through its body instead of looking the bank
+    /// or row up again.
+    #[inline]
+    fn flat_at(&self, bi: usize, row: u32) -> Result<u64, DramError> {
+        if bi >= self.banks.len() || row >= self.geometry.rows() {
+            return Err(DramError::AddressOutOfRange {
+                addr: row_addr(&self.geometry, bi, row),
+            });
+        }
+        Ok(self.flat_row(bi, row))
+    }
+
+    /// Flat row index of `row` in the bank with flat index `bi`: the
+    /// [`Geometry::flatten`] value without re-validating the bank.
+    #[inline]
+    fn flat_row(&self, bi: usize, row: u32) -> u64 {
+        bi as u64 * u64::from(self.geometry.rows()) + u64::from(row)
     }
 
     /// Sets or clears a bank's bit in the open-row bitset. Called on every
     /// path that opens (activate) or closes (precharge, refresh-implicit
     /// precharge) a row, keeping the bitset exact.
     #[inline]
-    fn mark_open(&mut self, rank: u32, bank: u32, open: bool) {
-        let i = self.geometry.bank_index(rank, bank) as usize;
+    fn mark_open(&mut self, i: usize, open: bool) {
         if open {
             self.open_mask[i / 64] |= 1 << (i % 64);
         } else {
@@ -343,9 +383,13 @@ impl DramDevice {
         &self.open_mask
     }
 
-    fn require_ready(&self, rank: u32, bank: u32, now: Instant) -> Result<(), DramError> {
-        let b = self.bank(rank, bank);
+    /// Rejects a command to the bank with flat index `bi` that arrives
+    /// before the bank is free.
+    #[inline]
+    fn require_ready(&self, bi: usize, now: Instant) -> Result<(), DramError> {
+        let b = &self.banks[bi];
         if !b.is_ready(now) {
+            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, 0);
             return Err(DramError::BankBusy {
                 rank,
                 bank,
@@ -366,35 +410,54 @@ impl DramDevice {
     /// [`DramError::BankBusy`], [`DramError::BankAlreadyOpen`] or
     /// [`DramError::AddressOutOfRange`].
     pub fn activate(&mut self, addr: RowAddr, now: Instant) -> Result<OpOutcome, DramError> {
-        self.check_addr(addr)?;
-        self.require_ready(addr.rank, addr.bank, now)?;
-        if let Some(open) = self.bank(addr.rank, addr.bank).open_row() {
+        let bi = self.bank_of(addr)?;
+        self.activate_at(bi, addr.row, now)
+    }
+
+    /// [`activate`](Self::activate) addressed by flat bank index
+    /// ([`Geometry::bank_index`]) and row, for a caller that resolved the
+    /// bank once for several commands.
+    ///
+    /// # Errors
+    ///
+    /// As [`activate`](Self::activate); an out-of-range `bank_index` or
+    /// `row` is [`DramError::AddressOutOfRange`].
+    pub fn activate_at(
+        &mut self,
+        bank_index: usize,
+        row: u32,
+        now: Instant,
+    ) -> Result<OpOutcome, DramError> {
+        let bi = bank_index;
+        let flat = self.flat_at(bi, row)?;
+        self.require_ready(bi, now)?;
+        if let Some(open) = self.banks[bi].open_row() {
+            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, row);
             return Err(DramError::BankAlreadyOpen {
-                rank: addr.rank,
-                bank: addr.bank,
+                rank,
+                bank,
                 open_row: open,
             });
         }
-        let window = self.earliest_activate(addr.rank);
+        // `unflatten` shifts instead of dividing on power-of-two shapes.
+        let rank = self.geometry.unflatten(flat).rank as usize;
+        let window = self.ranks[rank].earliest_activate(self.timing.trrd, self.timing.tfaw);
         if now < window {
             return Err(DramError::ActivateTooSoon {
-                rank: addr.rank,
+                rank: rank as u32,
                 earliest: window,
             });
         }
-        self.ranks[addr.rank as usize].record_activate(now);
+        self.ranks[rank].record_activate(now);
         let (trcd, tras) = (self.timing.trcd, self.timing.tras);
-        self.bank_mut(addr.rank, addr.bank)
-            .do_activate(addr.row, now, trcd, tras);
-        self.mark_open(addr.rank, addr.bank, true);
+        self.banks[bi].do_activate(row, now, trcd, tras);
+        self.mark_open(bi, true);
         // The restore completes with the sense/restore phase (tRAS window);
         // we credit it at activate+tRAS, conservatively within the deadline.
-        let restore_at = now + tras;
-        self.retention
-            .restore(self.geometry.flatten(addr), restore_at);
+        self.retention.restore(flat, now + tras);
         self.stats.activates += 1;
         if let Some(c) = self.checker.as_deref_mut() {
-            c.observe_activate(addr, now);
+            c.observe_activate(row_addr(&self.geometry, bi, row), now);
         }
         Ok(OpOutcome {
             bank_ready_at: now + trcd,
@@ -405,26 +468,27 @@ impl DramDevice {
 
     fn column_access(
         &mut self,
-        addr: RowAddr,
+        bi: usize,
+        row: u32,
         column: u32,
         now: Instant,
         is_write: bool,
     ) -> Result<OpOutcome, DramError> {
-        self.check_addr(addr)?;
+        self.flat_at(bi, row)?;
         if column >= self.geometry.columns() {
-            return Err(DramError::AddressOutOfRange { addr });
+            return Err(DramError::AddressOutOfRange {
+                addr: row_addr(&self.geometry, bi, row),
+            });
         }
-        self.require_ready(addr.rank, addr.bank, now)?;
-        match self.bank(addr.rank, addr.bank).open_row() {
+        self.require_ready(bi, now)?;
+        match self.banks[bi].open_row() {
             None => {
-                return Err(DramError::NoOpenRow {
-                    rank: addr.rank,
-                    bank: addr.bank,
-                })
+                let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, row);
+                return Err(DramError::NoOpenRow { rank, bank });
             }
-            Some(open) if open != addr.row => {
+            Some(open) if open != row => {
                 return Err(DramError::RowMismatch {
-                    requested: addr.row,
+                    requested: row,
                     open_row: open,
                 })
             }
@@ -433,19 +497,18 @@ impl DramDevice {
         let tburst = self.timing.tburst;
         let tcl = self.timing.tcl;
         let twr = self.timing.twr;
-        self.bank_mut(addr.rank, addr.bank)
-            .do_column_access(now, tburst);
+        let b = &mut self.banks[bi];
+        b.do_column_access(now, tburst);
         if is_write {
             // Write recovery: the row may not close until tWR after the
             // last data beat.
-            self.bank_mut(addr.rank, addr.bank)
-                .extend_precharge_floor(now + tcl + tburst + twr);
+            b.extend_precharge_floor(now + tcl + tburst + twr);
             self.stats.writes += 1;
         } else {
             self.stats.reads += 1;
         }
         if let Some(c) = self.checker.as_deref_mut() {
-            c.observe_column(addr, now, is_write);
+            c.observe_column(row_addr(&self.geometry, bi, row), now, is_write);
         }
         Ok(OpOutcome {
             bank_ready_at: now + tburst,
@@ -466,7 +529,8 @@ impl DramDevice {
         column: u32,
         now: Instant,
     ) -> Result<OpOutcome, DramError> {
-        self.column_access(addr, column, now, false)
+        let bi = self.bank_of(addr)?;
+        self.column_access(bi, addr.row, column, now, false)
     }
 
     /// Issues WRITE of `column` into the open row.
@@ -480,7 +544,38 @@ impl DramDevice {
         column: u32,
         now: Instant,
     ) -> Result<OpOutcome, DramError> {
-        self.column_access(addr, column, now, true)
+        let bi = self.bank_of(addr)?;
+        self.column_access(bi, addr.row, column, now, true)
+    }
+
+    /// [`read`](Self::read) addressed by flat bank index and row.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Self::read).
+    pub fn read_at(
+        &mut self,
+        bank_index: usize,
+        row: u32,
+        column: u32,
+        now: Instant,
+    ) -> Result<OpOutcome, DramError> {
+        self.column_access(bank_index, row, column, now, false)
+    }
+
+    /// [`write`](Self::write) addressed by flat bank index and row.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Self::read).
+    pub fn write_at(
+        &mut self,
+        bank_index: usize,
+        row: u32,
+        column: u32,
+        now: Instant,
+    ) -> Result<OpOutcome, DramError> {
+        self.column_access(bank_index, row, column, now, true)
     }
 
     /// Issues PRECHARGE: writes the open row back and closes the bank.
@@ -492,15 +587,38 @@ impl DramDevice {
     ///
     /// [`DramError::NoOpenRow`], [`DramError::BankBusy`] or
     /// [`DramError::PrechargeTooEarly`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(rank, bank)` is out of range.
     pub fn precharge(
         &mut self,
         rank: u32,
         bank: u32,
         now: Instant,
     ) -> Result<OpOutcome, DramError> {
-        self.require_ready(rank, bank, now)?;
-        let b = self.bank(rank, bank);
+        self.precharge_at(self.geometry.bank_index(rank, bank) as usize, now)
+    }
+
+    /// [`precharge`](Self::precharge) addressed by flat bank index.
+    ///
+    /// # Errors
+    ///
+    /// As [`precharge`](Self::precharge).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank_index >= total_banks()`.
+    pub fn precharge_at(
+        &mut self,
+        bank_index: usize,
+        now: Instant,
+    ) -> Result<OpOutcome, DramError> {
+        let bi = bank_index;
+        self.require_ready(bi, now)?;
+        let b = &self.banks[bi];
         if b.open_row().is_none() {
+            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, 0);
             return Err(DramError::NoOpenRow { rank, bank });
         }
         if now < b.earliest_precharge() {
@@ -509,14 +627,15 @@ impl DramDevice {
             });
         }
         let trp = self.timing.trp;
-        let Some(row) = self.bank_mut(rank, bank).do_precharge(now, trp) else {
+        let Some(row) = self.banks[bi].do_precharge(now, trp) else {
+            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, 0);
             return Err(DramError::NoOpenRow { rank, bank });
         };
-        self.mark_open(rank, bank, false);
-        self.retention
-            .restore(self.geometry.flatten(RowAddr { rank, bank, row }), now);
+        self.mark_open(bi, false);
+        self.retention.restore(self.flat_row(bi, row), now);
         self.stats.precharges += 1;
         if let Some(c) = self.checker.as_deref_mut() {
+            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, row);
             c.observe_precharge(rank, bank, Some(row), now);
         }
         Ok(OpOutcome {
@@ -526,21 +645,23 @@ impl DramDevice {
         })
     }
 
+    /// The shared body of every row-restoring refresh command, for the
+    /// in-range `row` of the bank with flat index `bi`.
     fn refresh_common(
         &mut self,
-        rank: u32,
-        bank: u32,
+        bi: usize,
         row: u32,
         now: Instant,
         class: RefreshClass,
     ) -> Result<OpOutcome, DramError> {
-        self.require_ready(rank, bank, now)?;
+        self.require_ready(bi, now)?;
+        let open_row = self.banks[bi].open_row();
         // SARP: with subarrays enabled, a refresh whose target row lives in
         // a different subarray than the open page overlaps the access — the
         // page stays open and only the target subarray goes busy.
-        if let (Some(open), Some(s)) = (self.bank(rank, bank).open_row(), self.sarp.as_ref()) {
+        if let (Some(open), Some(s)) = (open_row, self.sarp.as_ref()) {
             if open / s.rows_per_subarray != row / s.rows_per_subarray {
-                return self.refresh_sarp_overlap(rank, bank, row, now, class);
+                return self.refresh_sarp_overlap(bi, row, now, class);
             }
         }
         let mut start = now;
@@ -549,19 +670,12 @@ impl DramDevice {
         // A refresh arriving at a bank with an open page implicitly writes the
         // page back and precharges first (extra time and energy, §7.1),
         // honouring the tRAS / write-recovery floor.
-        if self.bank(rank, bank).open_row().is_some() {
+        if open_row.is_some() {
             let trp = self.timing.trp;
-            let pre_at = now.max(self.bank(rank, bank).earliest_precharge());
-            if let Some(closed) = self.bank_mut(rank, bank).do_precharge(pre_at, trp) {
-                self.mark_open(rank, bank, false);
-                self.retention.restore(
-                    self.geometry.flatten(RowAddr {
-                        rank,
-                        bank,
-                        row: closed,
-                    }),
-                    pre_at,
-                );
+            let pre_at = now.max(self.banks[bi].earliest_precharge());
+            if let Some(closed) = self.banks[bi].do_precharge(pre_at, trp) {
+                self.mark_open(bi, false);
+                self.retention.restore(self.flat_row(bi, closed), pre_at);
                 pre = Some((closed, pre_at));
             }
             start = pre_at + trp;
@@ -569,12 +683,11 @@ impl DramDevice {
             self.stats.refreshes_closing_open_page += 1;
         }
         let trfc = self.timing.trfc;
-        self.bank_mut(rank, bank).do_refresh(start, trfc);
+        self.banks[bi].do_refresh(start, trfc);
         let done = start + trfc;
-        self.retention
-            .restore(self.geometry.flatten(RowAddr { rank, bank, row }), done);
+        self.retention.restore(self.flat_row(bi, row), done);
         if let Some(c) = self.checker.as_deref_mut() {
-            c.observe_refresh(RowAddr { rank, bank, row }, now, pre, start, class);
+            c.observe_refresh(row_addr(&self.geometry, bi, row), now, pre, start, class);
         }
         Ok(OpOutcome {
             bank_ready_at: done,
@@ -590,14 +703,12 @@ impl DramDevice {
     /// back-to-back overlapped refreshes into the same subarray.
     fn refresh_sarp_overlap(
         &mut self,
-        rank: u32,
-        bank: u32,
+        bi: usize,
         row: u32,
         now: Instant,
         class: RefreshClass,
     ) -> Result<OpOutcome, DramError> {
         let trfc = self.timing.trfc;
-        let bi = self.geometry.bank_index(rank, bank) as usize;
         // The caller only takes this arm with subarray state present; if it
         // ever were absent the overlap degrades to an unserialised refresh
         // rather than a panic.
@@ -608,11 +719,10 @@ impl DramDevice {
             s.busy[idx] = start + trfc;
         }
         let done = start + trfc;
-        let addr = RowAddr { rank, bank, row };
-        self.retention.restore(self.geometry.flatten(addr), done);
+        self.retention.restore(self.flat_row(bi, row), done);
         self.stats.sarp_overlapped_refreshes += 1;
         if let Some(c) = self.checker.as_deref_mut() {
-            c.observe_sarp_refresh(addr, start, class);
+            c.observe_sarp_refresh(row_addr(&self.geometry, bi, row), start, class);
         }
         Ok(OpOutcome {
             // The bank is never reserved: demand accesses to other
@@ -640,10 +750,16 @@ impl DramDevice {
         bank: u32,
         now: Instant,
     ) -> Result<(OpOutcome, u32), DramError> {
-        let idx = self.geometry.bank_index(rank, bank) as usize;
-        let row = self.cbr_row_counters[idx];
-        let outcome = self.refresh_common(rank, bank, row, now, RefreshClass::Cbr)?;
-        self.cbr_row_counters[idx] = (row + 1) % self.geometry.rows();
+        let bi = self.geometry.bank_index(rank, bank) as usize;
+        let row = self.cbr_row_counters[bi];
+        let outcome = self.refresh_common(bi, row, now, RefreshClass::Cbr)?;
+        // The internal counter wraps at the row count.
+        let next = row + 1;
+        self.cbr_row_counters[bi] = if next == self.geometry.rows() {
+            0
+        } else {
+            next
+        };
         self.stats.cbr_refreshes += 1;
         Ok((outcome, row))
     }
@@ -660,9 +776,9 @@ impl DramDevice {
         addr: RowAddr,
         now: Instant,
     ) -> Result<OpOutcome, DramError> {
-        self.check_addr(addr)?;
-        let outcome =
-            self.refresh_common(addr.rank, addr.bank, addr.row, now, RefreshClass::RasOnly)?;
+        let bi = self.bank_of(addr)?;
+        self.flat_at(bi, addr.row)?;
+        let outcome = self.refresh_common(bi, addr.row, now, RefreshClass::RasOnly)?;
         self.stats.ras_only_refreshes += 1;
         Ok(outcome)
     }
@@ -682,9 +798,9 @@ impl DramDevice {
     ///
     /// [`DramError::BankBusy`] or [`DramError::AddressOutOfRange`].
     pub fn scrub_row(&mut self, addr: RowAddr, now: Instant) -> Result<OpOutcome, DramError> {
-        self.check_addr(addr)?;
-        let outcome =
-            self.refresh_common(addr.rank, addr.bank, addr.row, now, RefreshClass::Scrub)?;
+        let bi = self.bank_of(addr)?;
+        self.flat_at(bi, addr.row)?;
+        let outcome = self.refresh_common(bi, addr.row, now, RefreshClass::Scrub)?;
         self.stats.scrubs += 1;
         Ok(outcome)
     }
@@ -703,9 +819,9 @@ impl DramDevice {
     ///
     /// [`DramError::BankBusy`] or [`DramError::AddressOutOfRange`].
     pub fn refresh_rfm(&mut self, addr: RowAddr, now: Instant) -> Result<OpOutcome, DramError> {
-        self.check_addr(addr)?;
-        let outcome =
-            self.refresh_common(addr.rank, addr.bank, addr.row, now, RefreshClass::Rfm)?;
+        let bi = self.bank_of(addr)?;
+        self.flat_at(bi, addr.row)?;
+        let outcome = self.refresh_common(bi, addr.row, now, RefreshClass::Rfm)?;
         self.stats.rfm_refreshes += 1;
         Ok(outcome)
     }
@@ -861,20 +977,119 @@ mod tests {
 
     #[test]
     fn out_of_range_addresses_rejected() {
+        // dev(): 1 rank, 2 banks, 16 rows, 8 columns. Every row command
+        // rejects each out-of-range coordinate.
+        let bads = [
+            RowAddr {
+                rank: 1,
+                bank: 0,
+                row: 0,
+            },
+            RowAddr {
+                rank: 0,
+                bank: 9,
+                row: 0,
+            },
+            RowAddr {
+                rank: 0,
+                bank: 0,
+                row: 16,
+            },
+        ];
         let mut d = dev();
-        let bad = RowAddr {
-            rank: 0,
-            bank: 9,
-            row: 0,
+        let t = Instant::ZERO;
+        for bad in bads {
+            let results = [
+                d.activate(bad, t),
+                d.read(bad, 0, t),
+                d.write(bad, 0, t),
+                d.refresh_ras_only(bad, t),
+                d.scrub_row(bad, t),
+                d.refresh_rfm(bad, t),
+            ];
+            for r in results {
+                assert_eq!(r, Err(DramError::AddressOutOfRange { addr: bad }));
+            }
+        }
+        // The flat-index commands name the same coordinates in the error.
+        for (bank_index, row, addr) in [(2, 0, bads[0]), (0, 16, bads[2])] {
+            let want = Err(DramError::AddressOutOfRange { addr });
+            assert_eq!(d.activate_at(bank_index, row, t), want);
+            assert_eq!(d.read_at(bank_index, row, 0, t), want);
+            assert_eq!(d.write_at(bank_index, row, 0, t), want);
+        }
+        // A column past the row is out of range too, even on an open row.
+        let act = d.activate(row(1, 4), t).unwrap();
+        for r in [
+            d.read(row(1, 4), 8, act.bank_ready_at),
+            d.write(row(1, 4), 8, act.bank_ready_at),
+        ] {
+            assert_eq!(r, Err(DramError::AddressOutOfRange { addr: row(1, 4) }));
+        }
+        // Rejected commands left no trace: only the one activate counted.
+        assert_eq!(d.stats().activates, 1);
+        assert_eq!(d.stats().total_refreshes() + d.stats().scrubs, 0);
+        assert_eq!(d.stats().reads + d.stats().writes, 0);
+        assert_eq!(d.open_banks()[0], 0b10);
+    }
+
+    #[test]
+    fn commands_report_the_bank_state_errors_they_hit() {
+        let mut d = dev();
+        let act = d.activate(row(1, 3), Instant::ZERO).unwrap();
+        let busy = Instant::ZERO + Duration::from_ns(1);
+        let ready_at = act.bank_ready_at;
+        let busy_err = || {
+            Err(DramError::BankBusy {
+                rank: 0,
+                bank: 1,
+                ready_at,
+            })
         };
-        assert!(matches!(
-            d.activate(bad, Instant::ZERO),
-            Err(DramError::AddressOutOfRange { .. })
-        ));
-        assert!(matches!(
-            d.refresh_ras_only(bad, Instant::ZERO),
-            Err(DramError::AddressOutOfRange { .. })
-        ));
+        assert_eq!(d.read(row(1, 3), 0, busy), busy_err());
+        assert_eq!(d.write(row(1, 3), 0, busy), busy_err());
+        assert_eq!(d.precharge(0, 1, busy), busy_err());
+        assert_eq!(d.refresh_ras_only(row(1, 9), busy), busy_err());
+        assert_eq!(d.refresh_cbr(0, 1, busy).map(|(o, _)| o), busy_err());
+        assert_eq!(
+            d.activate(row(1, 5), ready_at),
+            Err(DramError::BankAlreadyOpen {
+                rank: 0,
+                bank: 1,
+                open_row: 3,
+            })
+        );
+        assert_eq!(
+            d.read(row(1, 5), 0, ready_at),
+            Err(DramError::RowMismatch {
+                requested: 5,
+                open_row: 3,
+            })
+        );
+        assert_eq!(
+            d.read(row(0, 5), 0, ready_at),
+            Err(DramError::NoOpenRow { rank: 0, bank: 0 })
+        );
+        assert_eq!(
+            d.precharge(0, 0, ready_at),
+            Err(DramError::NoOpenRow { rank: 0, bank: 0 })
+        );
+        assert_eq!(
+            d.precharge(0, 1, ready_at),
+            Err(DramError::PrechargeTooEarly {
+                earliest: Instant::ZERO + d.timing().tras,
+            })
+        );
+        // The bank is still open on row 3 and untouched by the rejections.
+        assert_eq!(d.bank(0, 1).open_row(), Some(3));
+        assert_eq!(d.stats().activates, 1);
+        assert_eq!(d.stats().precharges, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank out of range")]
+    fn bank_commands_panic_on_a_bank_out_of_range() {
+        let _ = dev().precharge(0, 2, Instant::ZERO);
     }
 
     #[test]

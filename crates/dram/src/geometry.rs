@@ -167,7 +167,12 @@ impl Geometry {
             let after_bank = after_col >> banks;
             let rank = (after_bank & ((1 << ranks) - 1)) as u32;
             let after_rank = after_bank >> ranks;
-            let row = (after_rank % u64::from(self.rows)) as u32;
+            // `flat_shifts` holds log2(rows) whenever rows (and banks) are
+            // powers of two, which makes the wrap a mask.
+            let row = match self.flat_shifts {
+                Some((rows, _)) => (after_rank & ((1 << rows) - 1)) as u32,
+                None => (after_rank % u64::from(self.rows)) as u32,
+            };
             return DecodedAddr {
                 row_addr: RowAddr { rank, bank, row },
                 column,
@@ -324,6 +329,37 @@ mod tests {
             assert!(d.row_addr.bank < g.banks());
             assert!(d.row_addr.row < g.rows());
             assert!(d.column < g.columns());
+        }
+    }
+
+    /// `decode`'s shift/mask paths equal the div/mod mapping, wrap past
+    /// the capacity included, with and without a power-of-two row count.
+    #[test]
+    fn decode_matches_the_div_mod_mapping() {
+        for g in [
+            table1_2gb(),
+            table2_3d(),
+            Geometry::new(2, 4, 37, 16, 64),
+            Geometry::new(3, 5, 16, 6, 64),
+        ] {
+            let col_unit = g.column_bytes();
+            let mut rng = crate::rng::Rng::seed_from_u64(5);
+            for _ in 0..5_000 {
+                let addr = rng.gen_range(0..4 * g.capacity_bytes());
+                let blocks = addr / col_unit;
+                let cols = u64::from(g.columns());
+                let banks = u64::from(g.banks());
+                let ranks = u64::from(g.ranks());
+                let want = DecodedAddr {
+                    row_addr: RowAddr {
+                        rank: (blocks / cols / banks % ranks) as u32,
+                        bank: (blocks / cols % banks) as u32,
+                        row: (blocks / cols / banks / ranks % u64::from(g.rows())) as u32,
+                    },
+                    column: (blocks % cols) as u32,
+                };
+                assert_eq!(g.decode(addr), want, "{g} at {addr:#x}");
+            }
         }
     }
 

@@ -278,11 +278,29 @@ impl RetentionTracker {
     /// Flat indices of all rows whose data has exceeded the retention
     /// deadline as of `now`. An empty result means data integrity held.
     pub fn violations(&self, now: Instant) -> Vec<u64> {
-        self.last_restore
-            .iter()
-            .enumerate()
-            .filter(|&(i, &t)| now.saturating_since(t) > self.row_deadline(i as u64))
-            .map(|(i, _)| i as u64)
+        let Some(per_row) = &self.per_row else {
+            // One deadline for every row: a row is overdue exactly when it
+            // was last restored before `now - retention`. The counting scan
+            // has no data-dependent branch, so it vectorizes, and the
+            // common no-violation case allocates nothing.
+            let cutoff = Instant::from_ps(now.as_ps().saturating_sub(self.retention.as_ps()));
+            let overdue = self.last_restore.iter().filter(|&&t| t < cutoff).count();
+            if overdue == 0 {
+                return Vec::new();
+            }
+            let mut rows = Vec::with_capacity(overdue);
+            rows.extend(
+                (0u64..)
+                    .zip(&self.last_restore)
+                    .filter(|&(_, &t)| t < cutoff)
+                    .map(|(i, _)| i),
+            );
+            return rows;
+        };
+        (0u64..)
+            .zip(self.last_restore.iter().zip(per_row))
+            .filter(|&(_, (&t, &deadline))| now.saturating_since(t) > deadline)
+            .map(|(i, _)| i)
             .collect()
     }
 
@@ -586,6 +604,54 @@ mod tests {
         assert_eq!(t.earliest_deadline_row(), Some(0));
         t.restore(0, Instant::ZERO + Duration::from_ms(3));
         assert_eq!(t.earliest_deadline_row(), Some(0));
+    }
+
+    /// The row-by-row filter `violations` replaces.
+    fn brute_force_violations(t: &RetentionTracker, now: Instant) -> Vec<u64> {
+        (0..t.len() as u64)
+            .filter(|&i| now.saturating_since(t.last_restore(i)) > t.row_deadline(i))
+            .collect()
+    }
+
+    #[test]
+    fn violations_match_the_brute_force_filter() {
+        use crate::profile::RetentionProfile;
+        use crate::rng::Rng;
+
+        let g = Geometry::new(2, 4, 64, 4, 64);
+        let retention = Duration::from_ms(64);
+        let uniform = RetentionTracker::new(&g, retention);
+        let mut profiled = uniform.clone();
+        profiled.apply_profile(&RetentionProfile::rapid_like(g.total_rows(), 9));
+        let mut weak = uniform.clone();
+        weak.set_row_deadline(5, Duration::from_ms(20));
+        let mut rng = Rng::seed_from_u64(11);
+        for mut t in [uniform, profiled, weak] {
+            let mut now = Instant::ZERO;
+            for step in 0..60 {
+                now += Duration::from_ms(rng.gen_range(1u64..12));
+                for _ in 0..rng.gen_range(0usize..300) {
+                    // Some restores land after `now` (activate + tRAS).
+                    let at = now + Duration::from_us(rng.gen_range(0u64..50));
+                    t.restore(rng.gen_range(0..g.total_rows()), at);
+                }
+                for probe in [now, now + retention, now + retention * 3] {
+                    assert_eq!(
+                        t.violations(probe),
+                        brute_force_violations(&t, probe),
+                        "step {step}"
+                    );
+                }
+            }
+        }
+        // Exactly at the deadline is not late; one picosecond past it is.
+        let fresh = RetentionTracker::new(&g, retention);
+        let at = Instant::ZERO + retention;
+        assert!(fresh.violations(at).is_empty());
+        assert_eq!(
+            fresh.violations(at + Duration::from_ps(1)).len() as u64,
+            g.total_rows()
+        );
     }
 
     #[test]

@@ -97,15 +97,21 @@ impl Rng {
     }
 
     /// Unbiased uniform integer in `[0, n)` via Lemire's method.
+    ///
+    /// The rejection threshold `2^64 mod n` is below `n`, so a draw whose
+    /// low word is at least `n` is accepted without computing it; the
+    /// divide runs only on the rare `lo < n` draw. The accepted draws, and
+    /// so the output stream, are those of the always-divide form.
     fn bounded_u64(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
-        let threshold = n.wrapping_neg() % n; // 2^64 mod n
-        loop {
-            let m = u128::from(self.next_u64()) * u128::from(n);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
+        let mut m = u128::from(self.next_u64()) * u128::from(n);
+        if (m as u64) < n {
+            let threshold = n.wrapping_neg() % n; // 2^64 mod n
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(n);
             }
         }
+        (m >> 64) as u64
     }
 }
 
@@ -224,6 +230,46 @@ mod tests {
         assert!((frac - 0.3).abs() < 0.01, "fraction {frac}");
         assert!(!r.gen_bool(0.0));
         assert!(r.gen_bool(1.0));
+    }
+
+    /// The always-divide form of Lemire's method that `bounded_u64`
+    /// replaces: the threshold is computed before every draw.
+    fn bounded_u64_oracle(rng: &mut Rng, n: u64) -> u64 {
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(n);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_u64_matches_the_always_divide_form() {
+        let ns = [
+            1,
+            2,
+            3,
+            7,
+            1 << 20,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for (seed, &n) in ns.iter().enumerate() {
+            let mut fast = Rng::seed_from_u64(seed as u64);
+            let mut oracle = fast.clone();
+            for i in 0..20_000 {
+                assert_eq!(
+                    fast.bounded_u64(n),
+                    bounded_u64_oracle(&mut oracle, n),
+                    "n = {n}, draw {i}"
+                );
+            }
+            // Both consumed the same raw words, rejections included.
+            assert_eq!(fast, oracle, "n = {n}: streams diverged");
+        }
     }
 
     #[test]

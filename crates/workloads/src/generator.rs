@@ -175,6 +175,10 @@ impl AccessGenerator {
 impl Iterator for AccessGenerator {
     type Item = TraceEvent;
 
+    // Inlined into the callers' collection loops: returned through memory,
+    // an `Option<TraceEvent>` is copied padding bytes and all, with
+    // overlapping narrow moves that stall store forwarding.
+    #[inline]
     fn next(&mut self) -> Option<TraceEvent> {
         let gap = self.exponential_gap();
         self.now += gap;
