@@ -128,13 +128,13 @@ pub struct MemoryController<P: RefreshPolicy> {
     /// recomputed exactly whenever a scan actually runs.
     next_idle_close: Instant,
     /// Lower bound on the next instant [`advance_to`](Self::advance_to)
-    /// has work to do: the policy's next wakeup or the idle-close bound,
-    /// whichever is sooner, and `Instant::ZERO` whenever a time-driven
-    /// feature engine (faults, ECC, DARP) is installed. Below it
-    /// `advance_to` is a single comparison. Recomputed at the end of every
-    /// full `advance_to` pass (the policy's wakeup only moves inside
-    /// [`RefreshPolicy::advance`]) and lowered by every access that arms
-    /// an idle-close deadline.
+    /// has work to do, [`next_due`](Self::next_due) as of the end of the
+    /// last full pass. Below it `advance_to` is a single comparison.
+    /// Recomputed at the end of every full `advance_to` pass (the policy's
+    /// wakeup only moves inside [`RefreshPolicy::advance`]) and lowered
+    /// wherever something outside the pass can make work due sooner: an
+    /// access arming an idle-close deadline, a power-down wake pulling the
+    /// patrol forward, a page close under a held DARP refresh.
     quiet_until: Instant,
     /// Optional fault injector consulted on the refresh-dispatch path.
     faults: Option<FaultInjector>,
@@ -418,6 +418,7 @@ impl<P: RefreshPolicy> MemoryController<P> {
                 self.counters_valid_from = woke;
                 if let Some(layer) = self.ecc.as_mut() {
                     layer.note_wake(woke);
+                    self.quiet_until = self.quiet_until.min(layer.next_due());
                 }
             }
             CounterPowerPolicy::Snapshot => {
@@ -440,10 +441,15 @@ impl<P: RefreshPolicy> MemoryController<P> {
         }
     }
 
-    /// §4.1: closing a page resets the closed row's time-out counter.
+    /// §4.1: closing a page resets the closed row's time-out counter. A
+    /// closed bank is cold, so a refresh DARP holds for it falls due at
+    /// the next pass, wherever the close happened.
     fn note_page_closed(&mut self, closed: RowAddr, at: Instant) {
         self.policy.on_row_closed(closed, at);
         self.note_policy_reset(closed);
+        if self.darp.as_ref().is_some_and(|e| e.pending() > 0) {
+            self.quiet_until = Instant::ZERO;
+        }
     }
 
     /// Precharges the open page of the bank with flat index `bi` at
@@ -608,7 +614,12 @@ impl<P: RefreshPolicy> MemoryController<P> {
         );
         if t < self.quiet_until {
             // Nothing is due: no policy wakeup, no idle close, and no
-            // feature engine installed.
+            // feature engine's next-due instant. Every lowering site kept
+            // the bound at or under the one recomputed from the state.
+            debug_assert!(
+                t < self.next_due(),
+                "skipped advance_to({t:?}) had work due"
+            );
             self.now = self.now.max(t);
             return Ok(());
         }
@@ -644,16 +655,36 @@ impl<P: RefreshPolicy> MemoryController<P> {
         }
         self.run_patrol(t)?;
         self.now = self.now.max(t);
-        self.quiet_until = if self.faults.is_some() || self.ecc.is_some() || self.darp.is_some() {
-            Instant::ZERO
-        } else {
-            let idle = match self.page_close_timeout {
-                Some(_) => self.next_idle_close,
-                None => Instant::MAX,
-            };
-            self.policy.next_wakeup().map_or(idle, |w| w.min(idle))
-        };
+        self.quiet_until = self.next_due();
         Ok(())
+    }
+
+    /// The earliest instant an [`advance_to`](Self::advance_to) pass can
+    /// change anything: the policy's next wakeup, the idle-close bound,
+    /// and each installed engine's next-due instant — the patrol slot or
+    /// watchdog epoch, the next VRT edge, the first held DARP refresh to
+    /// cool or hit its deferral bound. With DARP, every pass calls the
+    /// dispatch path, and each call inside a stall window counts, so a
+    /// stall spec keeps the bound at zero.
+    fn next_due(&self) -> Instant {
+        let idle = match self.page_close_timeout {
+            Some(_) => self.next_idle_close,
+            None => Instant::MAX,
+        };
+        let mut due = self.policy.next_wakeup().map_or(idle, |w| w.min(idle));
+        if let Some(layer) = &self.ecc {
+            due = due.min(layer.next_due());
+        }
+        if let Some(inj) = &self.faults {
+            if self.darp.is_some() && inj.stalls_dispatch() {
+                return Instant::ZERO;
+            }
+            due = due.min(inj.next_vrt_edge());
+        }
+        if let Some(engine) = &self.darp {
+            due = due.min(engine.next_due(|rank, bank| self.open_page_use(rank, bank)));
+        }
+        due
     }
 
     /// Applies any variable-retention-time fault episodes that start or end
@@ -967,11 +998,15 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// Whether `(rank, bank)` holds an open page that demand traffic used
     /// within `window` of `now` — the page DARP defers refreshes around.
     fn bank_is_hot(&self, rank: u32, bank: u32, now: Instant, window: Duration) -> bool {
-        if self.device.bank(rank, bank).open_row().is_none() {
-            return false;
-        }
-        let idx = self.device.geometry().bank_index(rank, bank) as usize;
-        now.saturating_since(self.last_use[idx]) <= window
+        self.open_page_use(rank, bank)
+            .is_some_and(|used| now.saturating_since(used) <= window)
+    }
+
+    /// When demand last used the bank's open page; `None` when the bank
+    /// holds no open page.
+    fn open_page_use(&self, rank: u32, bank: u32) -> Option<Instant> {
+        self.device.bank(rank, bank).open_row()?;
+        Some(self.last_use[self.device.geometry().bank_index(rank, bank) as usize])
     }
 
     /// Issues one refresh action at `now`. `due` is the wakeup at which the

@@ -150,6 +150,30 @@ impl DarpEngine {
         now.saturating_since(due) >= self.cfg.max_deferral
     }
 
+    /// The earliest instant a dispatch pass could issue a held entry, given
+    /// `open_page_use(rank, bank)`: when demand last used the bank's open
+    /// page, or `None` when the bank holds no open page. A held entry issues once
+    /// its bank cools (no open page, or unused for longer than
+    /// [`DarpConfig::hot_window`]) or once it reaches
+    /// [`DarpConfig::max_deferral`], whichever comes first; a closed bank
+    /// makes it due at once (`Instant::ZERO`). An empty queue gives
+    /// `Instant::MAX`: entries only join at policy wakeups.
+    pub fn next_due(&self, mut open_page_use: impl FnMut(u32, u32) -> Option<Instant>) -> Instant {
+        self.queue
+            .iter()
+            .map(|entry| {
+                let (rank, bank) = entry.action.target_bank();
+                let forced = entry.due + self.cfg.max_deferral;
+                open_page_use(rank, bank).map_or(Instant::ZERO, |used| {
+                    // Hot while `now - used <= hot_window`: cold one
+                    // picosecond past the window.
+                    forced.min(used + self.cfg.hot_window + Duration::from_ps(1))
+                })
+            })
+            .min()
+            .unwrap_or(Instant::MAX)
+    }
+
     /// Counts one out-of-order issue (a younger action overtaking an older
     /// deferred one).
     pub fn note_ooo(&mut self) {
@@ -294,6 +318,34 @@ mod tests {
         assert!(!e.must_force(us(0), us(9)));
         assert!(e.must_force(us(0), us(10)));
         assert!(e.must_force(us(0), us(11)));
+    }
+
+    #[test]
+    fn next_due_is_the_earlier_of_cooling_and_forcing() {
+        let mut e = DarpEngine::new(DarpConfig {
+            hot_window: Duration::from_us(1),
+            max_deferral: Duration::from_us(10),
+        });
+        // Nothing held: entries only arrive at policy wakeups.
+        assert_eq!(e.next_due(|_, _| Some(us(0))), Instant::MAX);
+        e.push(RefreshAction::Cbr { rank: 0, bank: 1 }, us(4));
+        // The bank cools before the force instant (14 µs): one picosecond
+        // past the hot window.
+        let cools = us(6) + Duration::from_ps(1);
+        assert_eq!(e.next_due(|_, _| Some(us(5))), cools);
+        assert!(!e.must_force(us(4), cools));
+        // Demand keeps the page hot past the force instant: forcing wins.
+        assert_eq!(
+            e.next_due(|_, _| Some(us(13) + Duration::from_ns(500))),
+            us(14)
+        );
+        assert!(e.must_force(us(4), us(14)));
+        // The page closed: the entry issues at the next pass.
+        assert_eq!(e.next_due(|_, _| None), Instant::ZERO);
+        // Several entries: the earliest wins, per bank.
+        e.push(RefreshAction::Cbr { rank: 0, bank: 2 }, us(1));
+        let due = e.next_due(|_, bank| Some(if bank == 1 { us(20) } else { us(30) }));
+        assert_eq!(due, us(11));
     }
 
     #[test]

@@ -146,9 +146,26 @@ impl EccLayer {
             .is_some_and(RetentionWatchdog::should_escalate)
     }
 
+    /// The earliest instant the patrol or the watchdog has work: the
+    /// earlier of the next scrub slot and the next audit epoch, or
+    /// `Instant::MAX` for a layer that only decodes demand reads (and
+    /// perhaps exports CEs). Nothing in the layer falls due before it.
+    pub(crate) fn next_due(&self) -> Instant {
+        let slot = self
+            .scrubber
+            .as_ref()
+            .map_or(Instant::MAX, PatrolScrubber::next_slot);
+        let epoch = self
+            .watchdog
+            .as_ref()
+            .map_or(Instant::MAX, RetentionWatchdog::next_epoch);
+        slot.min(epoch)
+    }
+
     /// Wake from a CKE-low window the counters did not survive: the patrol
     /// slot and the watchdog audit, derived from pre-sleep bookkeeping,
-    /// are pulled forward to `woke`.
+    /// are pulled forward to `woke` (and with them
+    /// [`next_due`](Self::next_due)).
     pub(crate) fn note_wake(&mut self, woke: Instant) {
         if let Some(s) = self.scrubber.as_mut() {
             s.tighten_deadline(woke);
@@ -156,5 +173,62 @@ impl EccLayer {
         if let Some(w) = self.watchdog.as_mut() {
             w.note_wake(woke);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn at_us(us: u64) -> Instant {
+        Instant::ZERO + Duration::from_us(us)
+    }
+
+    #[test]
+    fn next_due_is_the_earlier_of_slot_and_epoch() {
+        let scrub = ScrubConfig {
+            interval: Duration::from_us(10),
+        };
+        let watchdog = WatchdogConfig::for_retention(Duration::from_ms(8));
+        let epoch = Instant::ZERO + watchdog.epoch;
+        assert!(epoch > at_us(10), "the epoch falls after the first slot");
+
+        // Decode only, with or without CE export: nothing is ever due.
+        assert_eq!(EccLayer::new(&EccConfig::new(1)).next_due(), Instant::MAX);
+        let export = EccConfig::new(1).with_ce_export();
+        assert_eq!(EccLayer::new(&export).next_due(), Instant::MAX);
+
+        // Each engine alone, then both: the earlier one wins.
+        let patrol = EccLayer::new(&EccConfig::new(1).with_scrub(scrub));
+        assert_eq!(patrol.next_due(), at_us(10));
+        let audit = EccLayer::new(&EccConfig::new(1).with_watchdog(watchdog));
+        assert_eq!(audit.next_due(), epoch);
+        let mut both = EccLayer::new(&EccConfig::new(1).with_scrub(scrub).with_watchdog(watchdog));
+        assert_eq!(both.next_due(), at_us(10));
+
+        // Past every slot up to the epoch, the epoch is next.
+        both.finish_scrub_slot(epoch);
+        assert_eq!(both.next_due(), epoch);
+        assert_eq!(both.due_audit(epoch).map(|(e, _)| e), Some(epoch));
+        assert!(both.next_due() > epoch);
+    }
+
+    #[test]
+    fn a_wake_pulls_next_due_forward() {
+        let watchdog = WatchdogConfig::for_retention(Duration::from_ms(8));
+        let mut audit = EccLayer::new(&EccConfig::new(1).with_watchdog(watchdog));
+        audit.note_wake(at_us(3));
+        assert_eq!(audit.next_due(), at_us(3));
+
+        let scrub = ScrubConfig {
+            interval: Duration::from_us(10),
+        };
+        let mut both = EccLayer::new(&EccConfig::new(1).with_scrub(scrub).with_watchdog(watchdog));
+        both.note_wake(at_us(7));
+        assert_eq!(both.next_due(), at_us(7));
+        // A wake after both deadlines moves neither.
+        let mut late = EccLayer::new(&EccConfig::new(1).with_scrub(scrub));
+        late.note_wake(at_us(25));
+        assert_eq!(late.next_due(), at_us(10));
     }
 }

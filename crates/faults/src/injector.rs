@@ -241,11 +241,23 @@ pub struct FaultStats {
     pub disturbance_bits_flipped: u64,
 }
 
+/// Where a VRT episode stands.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum VrtPhase {
+    /// The onset has not been applied yet.
+    #[default]
+    Pending,
+    /// The onset tightened the victims; their baselines are saved.
+    Active,
+    /// The episode is over: recovered, or its whole window elapsed before
+    /// any call saw it open.
+    Done,
+}
+
 /// Per-spec runtime state of a VRT episode (parallel to the spec list).
 #[derive(Debug, Clone, Default)]
 struct VrtRuntime {
-    applied: bool,
-    restored: bool,
+    phase: VrtPhase,
     /// `(flat row, baseline deadline)` pairs saved at onset.
     saved: Vec<(u64, Duration)>,
 }
@@ -465,8 +477,10 @@ impl FaultInjector {
     /// Processes every [`FaultKind::VariableRetention`] spec whose window
     /// opened or closed by `now`: an onset saves each victim row's baseline
     /// deadline and tightens it; the window's end restores the baselines.
-    /// Called by the controller at every policy wakeup, so transitions take
-    /// effect within one refresh slot. Idempotent between transitions.
+    /// An episode whose whole window elapsed before any call saw it open
+    /// never starts. Called by the controller at every policy wakeup, so
+    /// transitions take effect within one refresh slot. Idempotent between
+    /// transitions (see [`next_vrt_edge`](Self::next_vrt_edge)).
     pub fn apply_vrt_transitions(
         &mut self,
         tracker: &mut RetentionTracker,
@@ -482,7 +496,10 @@ impl FaultInjector {
             let FaultKind::VariableRetention { deadline } = spec.kind else {
                 continue;
             };
-            if !self.vrt_runtime[i].applied && spec.active_at(now) {
+            if self.vrt_runtime[i].phase == VrtPhase::Pending && now >= spec.until {
+                self.vrt_runtime[i].phase = VrtPhase::Done;
+            }
+            if self.vrt_runtime[i].phase == VrtPhase::Pending && spec.active_at(now) {
                 let mut saved = Vec::new();
                 for addr in geometry.iter_rows() {
                     if spec.site.matches(addr) {
@@ -501,9 +518,9 @@ impl FaultInjector {
                     }
                 }
                 self.vrt_runtime[i].saved = saved;
-                self.vrt_runtime[i].applied = true;
+                self.vrt_runtime[i].phase = VrtPhase::Active;
             }
-            if self.vrt_runtime[i].applied && !self.vrt_runtime[i].restored && now >= spec.until {
+            if self.vrt_runtime[i].phase == VrtPhase::Active && now >= spec.until {
                 let saved = std::mem::take(&mut self.vrt_runtime[i].saved);
                 for (flat, base) in saved {
                     tracker.set_row_deadline(flat, base);
@@ -514,9 +531,44 @@ impl FaultInjector {
                         kind: FaultEventKind::VrtRecovered { deadline: base },
                     });
                 }
-                self.vrt_runtime[i].restored = true;
+                self.vrt_runtime[i].phase = VrtPhase::Done;
             }
         }
+    }
+
+    /// The earliest instant [`apply_vrt_transitions`] can change anything:
+    /// the onset of the first episode not yet applied, or the end of the
+    /// first one in force; `Instant::MAX` when every episode is over (or
+    /// none exists). A call before it is a no-op.
+    ///
+    /// [`apply_vrt_transitions`]: FaultInjector::apply_vrt_transitions
+    pub fn next_vrt_edge(&self) -> Instant {
+        self.specs
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| matches!(s.kind, FaultKind::VariableRetention { .. }))
+            .filter_map(|(i, s)| {
+                match self
+                    .vrt_runtime
+                    .get(i)
+                    .map_or(VrtPhase::Pending, |r| r.phase)
+                {
+                    VrtPhase::Pending => Some(s.from),
+                    VrtPhase::Active => Some(s.until),
+                    VrtPhase::Done => None,
+                }
+            })
+            .min()
+            .unwrap_or(Instant::MAX)
+    }
+
+    /// True when any [`FaultKind::StallDispatch`] spec exists: every
+    /// [`dispatch_stalled`](Self::dispatch_stalled) call inside its window
+    /// counts in [`FaultStats::dispatches_stalled`].
+    pub fn stalls_dispatch(&self) -> bool {
+        self.specs
+            .iter()
+            .any(|s| matches!(s.kind, FaultKind::StallDispatch))
     }
 
     /// Whether refresh dispatch is suspended at `now` (an active
@@ -725,6 +777,10 @@ mod tests {
         RowAddr { rank, bank, row }
     }
 
+    fn ms(n: u64) -> Instant {
+        Instant::ZERO + Duration::from_ms(n)
+    }
+
     #[test]
     fn wildcard_sites_match_by_component() {
         let bank_wide = FaultSite {
@@ -904,6 +960,83 @@ mod tests {
         ));
         inj.apply_vrt_transitions(&mut t, &g, until + Duration::from_ms(5));
         assert_eq!(inj.stats().vrt_transitions, 2);
+    }
+
+    #[test]
+    fn next_vrt_edge_walks_onset_then_recovery() {
+        let g = Geometry::new(1, 1, 8, 4, 64);
+        let mut t = RetentionTracker::new(&g, Duration::from_ms(64));
+        let (from, until) = (ms(10), ms(20));
+        let mut inj = FaultInjector::new().with_spec(FaultSpec::windowed(
+            FaultSite::exact(0, 0, 3),
+            from,
+            until,
+            FaultKind::VariableRetention {
+                deadline: Duration::from_ms(16),
+            },
+        ));
+        assert_eq!(inj.next_vrt_edge(), from, "the onset is next");
+        inj.apply_vrt_transitions(&mut t, &g, from - Duration::from_ps(1));
+        assert_eq!(
+            inj.stats().vrt_transitions,
+            0,
+            "a call before the edge is a no-op"
+        );
+        inj.apply_vrt_transitions(&mut t, &g, from);
+        assert_eq!(inj.stats().vrt_transitions, 1);
+        assert_eq!(inj.next_vrt_edge(), until, "then the recovery");
+        inj.apply_vrt_transitions(&mut t, &g, until - Duration::from_ps(1));
+        assert_eq!(inj.stats().vrt_transitions, 1);
+        inj.apply_vrt_transitions(&mut t, &g, until);
+        assert_eq!(inj.stats().vrt_transitions, 2);
+        assert_eq!(inj.next_vrt_edge(), Instant::MAX, "nothing left");
+        // Non-VRT specs have no edges.
+        let plain = FaultInjector::new().with_spec(FaultSpec::windowed(
+            FaultSite::ANY,
+            from,
+            until,
+            FaultKind::StallDispatch,
+        ));
+        assert_eq!(plain.next_vrt_edge(), Instant::MAX);
+        assert!(plain.stalls_dispatch());
+        assert!(!inj.stalls_dispatch());
+    }
+
+    #[test]
+    fn a_vrt_window_skipped_between_two_calls_never_starts() {
+        let g = Geometry::new(1, 1, 8, 4, 64);
+        let mut t = RetentionTracker::new(&g, Duration::from_ms(64));
+        let mut inj = FaultInjector::new()
+            .with_spec(FaultSpec::windowed(
+                FaultSite::exact(0, 0, 3),
+                ms(10),
+                ms(20),
+                FaultKind::VariableRetention {
+                    deadline: Duration::from_ms(16),
+                },
+            ))
+            .with_spec(FaultSpec::windowed(
+                FaultSite::exact(0, 0, 5),
+                ms(40),
+                ms(50),
+                FaultKind::VariableRetention {
+                    deadline: Duration::from_ms(16),
+                },
+            ));
+        inj.apply_vrt_transitions(&mut t, &g, ms(5));
+        assert_eq!(inj.next_vrt_edge(), ms(10));
+        // The next call lands past the first window's end: that episode
+        // is over without ever starting, and the bound moves on.
+        inj.apply_vrt_transitions(&mut t, &g, ms(25));
+        assert_eq!(inj.stats().vrt_transitions, 0);
+        assert_eq!(t.row_deadline(3), Duration::from_ms(64));
+        assert_eq!(inj.next_vrt_edge(), ms(40));
+        // Nor does a later call inside the missed window revive it.
+        inj.apply_vrt_transitions(&mut t, &g, ms(15));
+        assert_eq!(inj.stats().vrt_transitions, 0);
+        inj.apply_vrt_transitions(&mut t, &g, ms(60));
+        assert_eq!(inj.next_vrt_edge(), Instant::MAX);
+        assert!(inj.events().is_empty());
     }
 
     #[test]

@@ -317,6 +317,24 @@ pub fn run_coschedule_setup(
     setup: Setup,
     load: Load,
 ) -> Result<CoscheduleOutcome, SimError> {
+    let (sys, sched) = drive(cfg, setup, load, MaintenanceScheduler::advance)?;
+    Ok(outcome(cfg, setup, load, &sys, sched.as_ref()))
+}
+
+/// Builds one setup × load system and drives its demand stream to the
+/// horizon, calling `advance` to replay the scheduler's maintenance
+/// before each access and at the horizon. Returns the system and, for a
+/// co-scheduled run, its scheduler.
+fn drive(
+    cfg: &CoscheduleConfig,
+    setup: Setup,
+    load: Load,
+    mut advance: impl FnMut(
+        &mut MaintenanceScheduler,
+        &mut MultiChannelSystem,
+        Instant,
+    ) -> Result<(), SimError>,
+) -> Result<(MultiChannelSystem, Option<MaintenanceScheduler>), SimError> {
     let g = cfg.module.geometry;
     let mut sys = build_system(cfg, setup, load)?;
     let mut sched = match setup {
@@ -337,7 +355,7 @@ pub fn run_coschedule_setup(
             break;
         }
         if let Some(s) = sched.as_mut() {
-            s.advance(&mut sys, now)?;
+            advance(s, &mut sys, now)?;
         }
         let addr = match load {
             Load::Clean => {
@@ -357,13 +375,24 @@ pub fn run_coschedule_setup(
         sys.access(addr, false, now)?;
     }
     if let Some(s) = sched.as_mut() {
-        s.advance(&mut sys, horizon)?;
+        advance(s, &mut sys, horizon)?;
     }
     sys.advance_to(horizon)?;
     sys.check_sanitizer(horizon)?;
+    Ok((sys, sched))
+}
 
+/// The observed behaviour of a driven run.
+fn outcome(
+    cfg: &CoscheduleConfig,
+    setup: Setup,
+    load: Load,
+    sys: &MultiChannelSystem,
+    sched: Option<&MaintenanceScheduler>,
+) -> CoscheduleOutcome {
+    let horizon = Instant::ZERO + cfg.horizon();
     let channels = sys.channels();
-    let scrubs: Vec<u64> = match &sched {
+    let scrubs: Vec<u64> = match sched {
         Some(s) => s.stats().scrubs.clone(),
         None => (0..channels)
             .map(|i| sys.channel(i).stats().scrubs_issued)
@@ -376,22 +405,22 @@ pub fn run_coschedule_setup(
         }
     }
     let power = DramPowerParams::ddr2_2gb();
-    Ok(CoscheduleOutcome {
+    CoscheduleOutcome {
         setup,
         load,
         scrub_energy: ChannelScrubEnergy::from_counts(&scrubs, power.e_refresh_row),
         scrubs,
-        forced_scrubs: match &sched {
+        forced_scrubs: match sched {
             Some(s) => s.stats().forced_scrubs,
             None => (0..channels)
                 .map(|i| sys.channel(i).stats().forced_scrubs)
                 .sum(),
         },
-        deferred_scrubs: sched.as_ref().map_or(0, |s| s.stats().deferred_scrubs),
-        forced_out_of_slack: sched.as_ref().map_or(0, |s| s.stats().forced_out_of_slack),
-        forced_no_idle_bank: sched.as_ref().map_or(0, |s| s.stats().forced_no_idle_bank),
-        forced_closures: sched.as_ref().map_or(0, |s| s.stats().forced_closures),
-        missed_deadlines: sched.as_ref().map_or(0, |s| s.stats().missed_deadlines),
+        deferred_scrubs: sched.map_or(0, |s| s.stats().deferred_scrubs),
+        forced_out_of_slack: sched.map_or(0, |s| s.stats().forced_out_of_slack),
+        forced_no_idle_bank: sched.map_or(0, |s| s.stats().forced_no_idle_bank),
+        forced_closures: sched.map_or(0, |s| s.stats().forced_closures),
+        missed_deadlines: sched.map_or(0, |s| s.stats().missed_deadlines),
         closures: (0..channels)
             .map(|i| sys.channel(i).device().stats().refreshes_closing_open_page)
             .sum(),
@@ -401,14 +430,14 @@ pub fn run_coschedule_setup(
         ue_detected: (0..channels)
             .map(|i| sys.channel(i).stats().ue_detected)
             .sum(),
-        final_interval: match &sched {
+        final_interval: match sched {
             Some(s) => s.current_interval(),
             None => cfg.covering().interval,
         },
-        interval_raises: sched.as_ref().map_or(0, |s| s.stats().interval_raises),
-        interval_drops: sched.as_ref().map_or(0, |s| s.stats().interval_drops),
+        interval_raises: sched.map_or(0, |s| s.stats().interval_raises),
+        interval_drops: sched.map_or(0, |s| s.stats().interval_drops),
         end_violations,
-    })
+    }
 }
 
 /// Runs all four setup × load combinations on `threads` workers. The
@@ -469,6 +498,48 @@ mod tests {
         // The adaptive dead band is non-empty.
         let a = cfg.adaptive();
         assert!(a.clean_ces < a.storm_ces);
+    }
+
+    /// The scheduler's early return leaves CEs in the channels' export
+    /// logs while no slot or epoch is due. Draining them on every call
+    /// instead, as `advance` once did, must not change the pinned
+    /// maintenance run (seed 1, twice the quick preset's epochs): the same
+    /// watchdog violations, adaptive interval history and counters.
+    #[test]
+    fn skipped_drains_leave_the_pinned_audits_unchanged() {
+        let mut cfg = CoscheduleConfig::quick(1);
+        cfg.epochs *= 2;
+        for load in [Load::Clean, Load::Storm] {
+            let (_, lazy) = drive(
+                &cfg,
+                Setup::Coscheduled,
+                load,
+                MaintenanceScheduler::advance,
+            )
+            .expect("run");
+            let (_, eager) = drive(&cfg, Setup::Coscheduled, load, |s, sys, t| {
+                s.drain_ces(sys);
+                s.advance(sys, t)
+            })
+            .expect("run");
+            let (lazy, eager) = (lazy.expect("scheduler"), eager.expect("scheduler"));
+            assert_eq!(
+                lazy.watchdog().violations(),
+                eager.watchdog().violations(),
+                "{load:?}"
+            );
+            assert_eq!(
+                lazy.interval_history(),
+                eager.interval_history(),
+                "{load:?}"
+            );
+            assert_eq!(lazy.stats(), eager.stats(), "{load:?}");
+            if load == Load::Storm {
+                // The storm exercises both: CEs flag rows and move the rate.
+                assert!(!lazy.watchdog().violations().is_empty());
+                assert!(lazy.interval_history().len() > 1);
+            }
+        }
     }
 
     #[test]

@@ -239,8 +239,15 @@ impl ExperimentConfig {
     }
 
     /// Scales both spans by `factor` (for quick runs / tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `factor` is positive and finite.
     pub fn scaled(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0, "scale factor must be positive");
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "scale factor must be positive and finite"
+        );
         self.measure = Duration::from_ps((self.measure.as_ps() as f64 * factor) as u64);
         self.warmup = Duration::from_ps((self.warmup.as_ps() as f64 * factor) as u64);
         self

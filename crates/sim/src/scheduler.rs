@@ -268,7 +268,11 @@ impl MaintenanceScheduler {
     }
 
     /// The shared watchdog (violations are keyed by global row:
-    /// `channel × rows_per_channel + flat`).
+    /// `channel × rows_per_channel + flat`). The channels' exported CEs
+    /// reach it at the next [`advance`](Self::advance) that has a slot or
+    /// epoch due, before that slot or epoch runs, so between calls its
+    /// buckets may not yet hold the latest CEs; its violations are always
+    /// up to date.
     pub fn watchdog(&self) -> &RetentionWatchdog {
         &self.watchdog
     }
@@ -278,10 +282,20 @@ impl MaintenanceScheduler {
     /// demand accesses so the epoch CE counts the adaptive law sees are
     /// exact.
     ///
+    /// Before the earliest channel slot and the next epoch nothing is due:
+    /// the call returns at once and leaves the channels' exported CEs
+    /// where they are. Otherwise they are drained into the shared watchdog
+    /// first, and again after every slot, so each slot and each epoch sees
+    /// every CE found before it. Recording a CE is an order-independent
+    /// bucket increment, so draining late changes nothing an audit reads.
+    ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from the channels' scrub issue paths.
     pub fn advance(&mut self, sys: &mut MultiChannelSystem, t: Instant) -> Result<(), SimError> {
+        if t < self.next_due() {
+            return Ok(());
+        }
         self.drain_ces(sys);
         loop {
             let next_scrub = self
@@ -306,9 +320,19 @@ impl MaintenanceScheduler {
         }
     }
 
+    /// The earliest instant [`advance`](Self::advance) has work: the
+    /// earlier of every channel's next patrol slot and the watchdog's next
+    /// epoch.
+    fn next_due(&self) -> Instant {
+        self.scrubbers
+            .iter()
+            .map(PatrolScrubber::next_slot)
+            .fold(self.watchdog.next_epoch(), Instant::min)
+    }
+
     /// Moves every channel's exported CEs into the shared watchdog under
     /// their global row keys.
-    fn drain_ces(&mut self, sys: &mut MultiChannelSystem) {
+    pub(crate) fn drain_ces(&mut self, sys: &mut MultiChannelSystem) {
         for i in 0..sys.channels() {
             for flat in sys.channel_mut(i).drain_ce_rows() {
                 self.watchdog

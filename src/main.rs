@@ -208,7 +208,7 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
 fn build_config(args: &[String]) -> Result<(ExperimentConfig, &'static str), String> {
     let module_name = flag(args, "--module").unwrap_or_else(|| "2gb".into());
     let policy_name = flag(args, "--policy").unwrap_or_else(|| "smart".into());
-    let scale: f64 = parse_num(args, "--scale", 1.0)?;
+    let scale = parse_scale(args, 1.0)?;
     let (module_name, module, power, topology) = parse_module(&module_name)?;
     let policy = parse_policy(&policy_name)?;
     let mut cfg = match topology {
@@ -242,10 +242,7 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
     )?
     .unwrap_or("all");
     let threads = resolve_threads(flag(args, "--threads").as_deref()).map_err(|e| e.to_string())?;
-    let scale: f64 = parse_num(args, "--scale", 1.0)?;
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(format!("bad --scale {scale:?} (must be positive)"));
-    }
+    let scale = parse_scale(args, 1.0)?;
     let mut eval = Evaluation::with_scale(scale).with_threads(threads);
     match flag(args, "--ecc").as_deref() {
         None | Some("off") => {}
@@ -568,6 +565,19 @@ fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> R
         .map(|v| v.unwrap_or(default))
 }
 
+/// The `--scale` span factor (`default` when absent), which every
+/// subcommand that takes it requires to be positive and finite.
+fn parse_scale(args: &[String], default: f64) -> Result<f64, String> {
+    let scale: f64 = parse_num(args, "--scale", default)?;
+    if scale.is_finite() && scale > 0.0 {
+        Ok(scale)
+    } else {
+        Err(format!(
+            "bad --scale {scale:?} (must be positive and finite)"
+        ))
+    }
+}
+
 fn orchestrate_grid(args: &[String]) -> Result<GridSpec, String> {
     let workloads: Vec<String> = flag(args, "--workloads")
         .unwrap_or_else(|| "gcc,radix".into())
@@ -602,7 +612,7 @@ fn orchestrate_grid(args: &[String]) -> Result<GridSpec, String> {
         .collect::<Result<Vec<_>, _>>()?;
     let seed_base: u64 = parse_num(args, "--seed", 0x5eed)?;
     let seed_count: u64 = parse_num(args, "--seeds", 2)?;
-    let scale: f64 = parse_num(args, "--scale", 0.25)?;
+    let scale = parse_scale(args, 0.25)?;
     let grid = GridSpec {
         workloads,
         modules,

@@ -77,6 +77,30 @@ fn run_rejects_unknown_module() {
 }
 
 #[test]
+fn run_rejects_a_scale_that_is_not_positive_and_finite() {
+    // Each must fail with a clean one-line error, not a panic (exit 101)
+    // or, for `inf`, a run that never ends.
+    for scale in ["0", "-1", "nan", "inf"] {
+        let out = bin()
+            .args([
+                "run",
+                "--workload",
+                "gcc",
+                "--module",
+                "2gb",
+                "--scale",
+                scale,
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "--scale {scale}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad --scale"), "--scale {scale}: {err}");
+        assert!(!err.contains("panicked"), "--scale {scale}: {err}");
+    }
+}
+
+#[test]
 fn run_on_the_4gb_module_uses_the_figures_4gb_workload() {
     // Figs 9-11 run the conventional spec at the 4 GB coverage factor;
     // `run --module 4gb` must simulate that same footprint.
