@@ -30,7 +30,7 @@
 //!   alive but starves every other row of coverage; the co-scheduled
 //!   walk's scrub-coverage ordering has no such failure mode.)
 //!
-//! `smart-refresh campaign coschedule` prints the table and exits nonzero
+//! `smart-refresh study coschedule` prints the table and exits nonzero
 //! when any verdict fails; `crates/sim/tests/coschedule.rs` pins them.
 
 use smartrefresh_ctrl::{EccConfig, ScrubConfig, SimError, WatchdogConfig};

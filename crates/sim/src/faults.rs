@@ -12,7 +12,7 @@
 //!   CBR sweep) without any retention deadline actually being missed.
 //!
 //! [`standard_campaign`] builds the canonical seven scenarios and
-//! [`run_campaign`] executes them; `smart-refresh campaign faults` prints
+//! [`run_campaign`] executes them; `smart-refresh study faults` prints
 //! the table and `crates/sim/tests/faults.rs` pins the expectations in CI.
 //!
 //! [`RetentionTracker`]: smartrefresh_dram::RetentionTracker

@@ -32,7 +32,7 @@
 //! blocked victims would quietly miss deadlines; the
 //! `forced_no_idle_bank` arm is what prevents it).
 //!
-//! `smart-refresh campaign darp` prints the table and exits nonzero when
+//! `smart-refresh study darp` prints the table and exits nonzero when
 //! the verdict fails; `crates/sim/tests/hotchannel.rs` pins it plus the
 //! thread-count determinism of the whole report.
 //!

@@ -16,8 +16,7 @@
 //! contract.
 //!
 //! Thread counts resolve from one knob: an explicit `--threads` argument
-//! beats the `SMARTREFRESH_THREADS` environment variable, which beats the
-//! machine's available parallelism (capped at
+//! beats the machine's available parallelism (capped at
 //! [`MAX_DEFAULT_THREADS`]). Zero or garbage is a loud
 //! [`SimError::Config`], not a silent fallback.
 //!
@@ -31,9 +30,6 @@ use smartrefresh_ctrl::SimError;
 /// few cores is all merge overhead.
 pub const MAX_DEFAULT_THREADS: usize = 8;
 
-/// Environment variable consulted when no explicit thread count is given.
-pub const THREADS_ENV: &str = "SMARTREFRESH_THREADS";
-
 /// The machine default: available parallelism capped at
 /// [`MAX_DEFAULT_THREADS`], and 1 when the machine will not say.
 pub fn default_threads() -> usize {
@@ -44,13 +40,12 @@ pub fn default_threads() -> usize {
 }
 
 /// Resolves the worker count for a run: `explicit` (a `--threads`
-/// argument) beats the [`THREADS_ENV`] environment variable, which beats
-/// [`default_threads`].
+/// argument) beats [`default_threads`].
 ///
 /// # Errors
 ///
-/// [`SimError::Config`] when the explicit value or the environment
-/// variable is zero or not a positive integer.
+/// [`SimError::Config`] when the explicit value is zero or not a positive
+/// integer.
 ///
 /// # Examples
 ///
@@ -62,17 +57,13 @@ pub fn default_threads() -> usize {
 /// assert!(resolve_threads(Some("lots")).is_err());
 /// ```
 pub fn resolve_threads(explicit: Option<&str>) -> Result<usize, SimError> {
-    let spec = match explicit {
-        Some(s) => Some(s.to_string()),
-        None => std::env::var(THREADS_ENV).ok(), // check:allow(deterministic)
-    };
-    let Some(spec) = spec else {
+    let Some(spec) = explicit else {
         return Ok(default_threads());
     };
     match spec.trim().parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
         _ => Err(SimError::Config {
-            what: "thread count (--threads / SMARTREFRESH_THREADS) must be a positive integer",
+            what: "thread count (--threads) must be a positive integer",
         }),
     }
 }

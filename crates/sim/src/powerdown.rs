@@ -17,7 +17,7 @@
 //!
 //! [`idle_sweep`] varies the access gap to show how the forfeited savings
 //! grow with idle fraction — the number an `abl_counter_power` bench run
-//! sweeps at full scale. `smart-refresh campaign powerdown` prints both
+//! sweeps at full scale. `smart-refresh study powerdown` prints both
 //! tables and exits nonzero when any expectation fails.
 
 use smartrefresh_core::{

@@ -18,7 +18,7 @@
 //!   refresh into a [`DegradeCause::DisturbanceStorm`] CBR fallback
 //!   without panicking — graceful degradation, not silent corruption.
 //!
-//! `smart-refresh campaign rfm` prints the table and
+//! `smart-refresh study rfm` prints the table and
 //! `crates/sim/tests/rfm.rs` pins the expectations (including seed
 //! determinism) in CI.
 

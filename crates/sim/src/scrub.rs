@@ -16,7 +16,7 @@
 //!   instead of adding to them ([`scrub_savings`] measures the
 //!   refresh-energy saved net of the scrub energy spent).
 //!
-//! `smart-refresh campaign scrub` prints the table and exits nonzero when
+//! `smart-refresh study scrub` prints the table and exits nonzero when
 //! any scenario fails; `crates/sim/tests/scrub.rs` pins the expectations.
 
 use smartrefresh_core::{

@@ -47,8 +47,11 @@
 //! # Ok::<(), smart_refresh::ctrl::SimError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! benchmark harness that regenerates every table and figure of the paper.
+//! [`study`] holds every named study beyond Figs 6–18 — the paper's
+//! tables and Figs 1–4, the §4 ablations, the extensions and the
+//! resilience campaigns — each pinned by a digest of its report; the
+//! `smart-refresh` binary runs them (`study <name|all>`) and regenerates
+//! the figures. See `examples/` for API walkthroughs.
 
 pub use smartrefresh_cache as cache;
 pub use smartrefresh_core as core;
@@ -61,3 +64,5 @@ pub use smartrefresh_faults as faults;
 pub use smartrefresh_orchestrator as orchestrator;
 pub use smartrefresh_sim as sim;
 pub use smartrefresh_workloads as workloads;
+
+pub mod study;

@@ -1,9 +1,9 @@
 //! `smart-refresh` — command-line interface to the reproduction, and the
-//! one entry point for the paper's figures and the resilience campaigns.
+//! one entry point for the paper's figures and every pinned study.
 //!
 //! ```text
 //! smart-refresh figures [figNN|all] [--threads N] [--scale S] [--ecc on|off] [--csv DIR]
-//! smart-refresh campaign <faults|scrub|coschedule|powerdown|rfm|darp|all> [--threads N]
+//! smart-refresh study <name|all> [--threads N]
 //! smart-refresh run --workload <name> --module <2gb|4gb|3d64|3d32> --policy <cbr|ras|burst|smart|none> [--scale S]
 //! smart-refresh record --workload <name> --module <...> --seconds <S> --out <file>
 //! smart-refresh replay --trace <file> --module <...> --policy <...>
@@ -20,7 +20,6 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use smart_refresh::core::{write_atomic, SmartRefreshConfig};
-use smart_refresh::ctrl::SimError;
 use smart_refresh::dram::configs::{
     conventional_2gb, conventional_4gb, stacked_3d_64mb, ModuleConfig,
 };
@@ -33,16 +32,9 @@ use smart_refresh::orchestrator::{
 };
 use smart_refresh::sim::figures::{Evaluation, FigureId};
 use smart_refresh::sim::parallel::resolve_threads;
-use smart_refresh::sim::report::{
-    figure_csv, render_campaign, render_coschedule, render_figure, render_hotchannel,
-    render_powerdown_campaign, render_rfm, render_run, render_scrub_campaign,
-};
-use smart_refresh::sim::{
-    run_campaign, run_coschedule_campaign_threaded, run_experiment,
-    run_hot_channel_campaign_threaded, run_powerdown_campaign, run_rfm_campaign,
-    run_scrub_campaign, CampaignConfig, CoscheduleConfig, ExperimentConfig, HotChannelConfig,
-    PolicyKind, RfmCampaignConfig, Topology,
-};
+use smart_refresh::sim::report::{figure_csv, render_figure, render_run};
+use smart_refresh::sim::{run_experiment, ExperimentConfig, PolicyKind, Topology};
+use smart_refresh::study::{self, Study, STUDIES};
 use smart_refresh::workloads::trace::{read_trace, write_trace};
 use smart_refresh::workloads::{catalog, find, AccessGenerator, WorkloadSpec};
 
@@ -51,8 +43,8 @@ fn main() -> ExitCode {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let result = match cmd {
         "figures" => cmd_figures(&args[1..]),
-        "campaign" => match cmd_campaign(&args[1..]) {
-            // A failed campaign has already reported in its own voice.
+        "study" => match cmd_study(&args[1..]) {
+            // A failed study has already reported on stderr.
             Ok(false) => return ExitCode::FAILURE,
             other => other.map(|_| ()),
         },
@@ -87,8 +79,9 @@ fn print_help() {
          USAGE:\n\
          \u{20}  smart-refresh figures [figNN|all] [--threads N] [--scale S] [--ecc on|off]\n\
          \u{20}      [--csv DIR]                         regenerate evaluation figures\n\
-         \u{20}  smart-refresh campaign <faults|scrub|coschedule|powerdown|rfm|darp|all>\n\
-         \u{20}      [--threads N]                       resilience campaigns (nonzero exit on failure)\n\
+         \u{20}  smart-refresh study <name|all> [--threads N]\n\
+         \u{20}      pinned studies: paper tables and Figs 1-4, ablations, extensions,\n\
+         \u{20}      resilience campaigns (nonzero exit if a claim fails or a digest moves)\n\
          \u{20}  smart-refresh run --workload W --module M --policy P [--scale S] [--seed N]\n\
          \u{20}  smart-refresh sweep --workload W --module M [--scale S]   counter/segment sweep\n\
          \u{20}  smart-refresh record --workload W --module M --seconds S --out FILE\n\
@@ -107,10 +100,9 @@ fn print_help() {
          FAULTS:   clean | dist  (orchestrate fault-regime axis; dist arms ECC+RFM)\n\
          FIGURES:  --scale scales the simulated spans (default 1.0); --ecc on prices\n\
          \u{20}         SECDED + patrol scrub into the 3D-stacked Figs 12-17\n\
-         ENV:      SMARTREFRESH_THREADS sets the simulation worker count\n\
-         \u{20}         (positive integer; --threads wins; results are\n\
-         \u{20}         bit-identical at any thread count)\n\
-         \u{20}         SMARTREFRESH_SANITIZE=1 runs the DDR2 protocol sanitizer"
+         THREADS:  --threads N sets the simulation worker count (positive\n\
+         \u{20}         integer; results are bit-identical at any thread count)\n\
+         ENV:      SMARTREFRESH_SANITIZE=1 runs the DDR2 protocol sanitizer"
     );
 }
 
@@ -277,168 +269,49 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One resilience campaign as the command line runs it.
-struct Campaign {
-    /// The `campaign <name>` argument.
-    name: &'static str,
-    /// The campaign's fixed seed.
-    seed: u64,
-    /// The configuration line printed above the report.
-    header: fn(u64) -> String,
-    /// Runs the campaign on the given worker count and returns its
-    /// rendered report and verdict.
-    run: fn(u64, usize) -> Result<(String, bool), SimError>,
-    /// Names the campaign in its `… campaign aborted` / `… failed` lines.
-    label: &'static str,
-    /// Why a failing verdict failed.
-    failure: &'static str,
-}
-
-fn single_channel_header(cfg: &CampaignConfig) -> String {
-    format!(
-        "module {} ({} rows, retention {}), horizon {}, one access per {}",
-        cfg.module.name,
-        cfg.module.geometry.total_rows(),
-        cfg.module.timing.retention,
-        cfg.horizon,
-        cfg.access_gap,
-    )
-}
-
-fn multi_channel_header(
-    module: &ModuleConfig,
-    channels: impl std::fmt::Display,
-    epochs: impl std::fmt::Display,
-) -> String {
-    format!(
-        "module {} ({channels} channels x {} rows, retention {}), {epochs} epochs",
-        module.name,
-        module.geometry.total_rows(),
-        module.timing.retention,
-    )
-}
-
-/// Every campaign, in the order `campaign all` runs them.
-const CAMPAIGNS: [Campaign; 6] = [
-    Campaign {
-        name: "faults",
-        seed: 0xfa17,
-        header: |seed| single_channel_header(&CampaignConfig::quick(seed)),
-        run: |seed, _| {
-            let r = run_campaign(&CampaignConfig::quick(seed))?;
-            Ok((render_campaign(&r), r.all_hold()))
-        },
-        label: "fault",
-        failure: "an injected fault escaped detection",
-    },
-    Campaign {
-        name: "scrub",
-        seed: 0x5c2b,
-        header: |seed| single_channel_header(&CampaignConfig::quick(seed)),
-        run: |seed, _| {
-            let r = run_scrub_campaign(&CampaignConfig::quick(seed))?;
-            Ok((render_scrub_campaign(&r), r.all_hold()))
-        },
-        label: "scrub",
-        failure: "an error was not corrected or escalated",
-    },
-    Campaign {
-        name: "coschedule",
-        seed: 0xC05C,
-        header: |seed| {
-            let cfg = CoscheduleConfig::quick(seed);
-            multi_channel_header(&cfg.module, cfg.channels, cfg.epochs)
-        },
-        run: |seed, threads| {
-            let r = run_coschedule_campaign_threaded(&CoscheduleConfig::quick(seed), threads)?;
-            Ok((render_coschedule(&r), r.all_hold()))
-        },
-        label: "co-scheduling",
-        failure: "a coverage, interference, or adaptation clause failed",
-    },
-    Campaign {
-        name: "powerdown",
-        seed: 0x90da,
-        header: |seed| single_channel_header(&CampaignConfig::quick(seed)),
-        run: |seed, _| {
-            let r = run_powerdown_campaign(&CampaignConfig::quick(seed))?;
-            Ok((render_powerdown_campaign(&r), r.all_hold()))
-        },
-        label: "counter power-state",
-        failure: "a policy broke its contract",
-    },
-    Campaign {
-        name: "rfm",
-        seed: 0xfa17,
-        header: |seed| {
-            let cfg = RfmCampaignConfig::quick(seed);
-            format!(
-                "module {} ({} rows, retention {}), horizon {}, scrub period {}",
-                cfg.module.name,
-                cfg.module.geometry.total_rows(),
-                cfg.module.timing.retention,
-                cfg.horizon,
-                cfg.scrub_period,
-            )
-        },
-        run: |seed, _| {
-            let r = run_rfm_campaign(&RfmCampaignConfig::quick(seed))?;
-            Ok((render_rfm(&r), r.all_hold()))
-        },
-        label: "rfm",
-        failure: "a rowhammer clause did not hold",
-    },
-    Campaign {
-        name: "darp",
-        seed: 0xDA59,
-        header: |seed| {
-            let cfg = HotChannelConfig::quick(seed);
-            multi_channel_header(&cfg.module, cfg.channels, cfg.epochs)
-        },
-        run: |seed, threads| {
-            let r = run_hot_channel_campaign_threaded(&HotChannelConfig::quick(seed), threads)?;
-            Ok((render_hotchannel(&r), r.darp_wins()))
-        },
-        label: "hot-channel",
-        failure: "DARP/SARP did not beat the static schedule",
-    },
-];
-
-/// Runs the named campaign (or all of them) and returns whether every
-/// one held. Failures are reported on stderr in each campaign's own
-/// voice; `Err` is reserved for usage errors.
-fn cmd_campaign(args: &[String]) -> Result<bool, String> {
-    let which = check_flags("campaign", args, &["--threads"], 1)?.ok_or_else(|| {
-        "missing campaign name (faults|scrub|coschedule|powerdown|rfm|darp|all)".to_string()
-    })?;
-    let selected: Vec<&Campaign> = CAMPAIGNS
-        .iter()
-        .filter(|c| which == "all" || c.name == which)
-        .collect();
-    if selected.is_empty() {
-        return Err(format!(
-            "unknown campaign {which:?} (faults|scrub|coschedule|powerdown|rfm|darp|all)"
-        ));
-    }
+/// Runs the named study (or all of them), prints each report, and checks
+/// it against its claim and its pinned digest. Returns whether every one
+/// held and matched; failures are reported on stderr, and `Err` is
+/// reserved for usage errors.
+fn cmd_study(args: &[String]) -> Result<bool, String> {
+    let names = || {
+        let mut names: Vec<&str> = STUDIES.iter().map(|s| s.name).collect();
+        names.push("all");
+        names.join(", ")
+    };
+    let which = check_flags("study", args, &["--threads"], 1)?
+        .ok_or_else(|| format!("missing study name; one of: {}", names()))?;
+    let selected: Vec<&Study> = match which {
+        "all" => STUDIES.iter().collect(),
+        name => vec![study::find(name)
+            .ok_or_else(|| format!("unknown study {name:?}; one of: {}", names()))?],
+    };
     let threads = resolve_threads(flag(args, "--threads").as_deref()).map_err(|e| e.to_string())?;
-    let mut all_held = true;
-    for c in selected {
-        println!("{}\n", (c.header)(c.seed));
-        match (c.run)(c.seed, threads) {
+    let mut passed = 0usize;
+    for s in &selected {
+        match (s.run)(threads) {
             Ok((report, held)) => {
-                println!("{report}");
+                print!("{report}");
+                let digest = study::report_digest(&report);
                 if !held {
-                    eprintln!("{} campaign failed: {}", c.label, c.failure);
-                    all_held = false;
+                    eprintln!("study {} failed: {} did not hold", s.name, s.claim);
+                } else if digest != s.pin {
+                    eprintln!(
+                        "study {} failed: report digest {digest:#018x} is not its pin {:#018x}",
+                        s.name, s.pin
+                    );
+                } else {
+                    passed += 1;
                 }
             }
-            Err(e) => {
-                eprintln!("{} campaign aborted: {e}", c.label);
-                all_held = false;
-            }
+            Err(e) => eprintln!("study {} aborted: {e}", s.name),
         }
     }
-    Ok(all_held)
+    eprintln!(
+        "{passed}/{} studies held their claims and matched their pins",
+        selected.len()
+    );
+    Ok(passed == selected.len())
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {

@@ -11,6 +11,7 @@ use smart_refresh::sim::report::{render_campaign, render_run};
 use smart_refresh::sim::{
     run_campaign, run_experiment, CampaignConfig, ExperimentConfig, PolicyKind,
 };
+use smart_refresh::study;
 use smart_refresh::workloads::{catalog, find};
 
 fn bin() -> Command {
@@ -23,7 +24,7 @@ fn help_lists_subcommands() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     for cmd in [
-        "figures", "campaign", "run", "sweep", "record", "replay", "list", "info",
+        "figures", "study", "run", "sweep", "record", "replay", "list", "info",
     ] {
         assert!(text.contains(cmd), "help missing {cmd}");
     }
@@ -141,8 +142,8 @@ fn run_on_the_4gb_module_uses_the_figures_4gb_workload() {
 }
 
 #[test]
-fn campaign_faults_prints_the_library_report() {
-    let out = bin().args(["campaign", "faults"]).output().expect("spawn");
+fn study_faults_prints_the_library_report() {
+    let out = bin().args(["study", "faults"]).output().expect("spawn");
     assert!(
         out.status.success(),
         "{}",
@@ -165,10 +166,40 @@ fn campaign_faults_prints_the_library_report() {
 }
 
 #[test]
-fn campaign_and_figures_reject_bad_values() {
-    let out = bin().args(["campaign", "nope"]).output().expect("spawn");
+fn study_fig_tables_stdout_hashes_to_its_pin() {
+    let out = bin().args(["study", "fig_tables"]).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf8 report");
+    let pin = study::find("fig_tables").expect("a study row").pin;
+    assert_eq!(study::report_digest(&stdout), pin);
+}
+
+#[test]
+fn study_rejects_a_missing_or_unknown_name_and_lists_the_names() {
+    for args in [vec!["study"], vec!["study", "nope"]] {
+        let out = bin().args(&args).output().expect("spawn");
+        assert!(!out.status.success(), "{args:?} should fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        for name in ["fig_tables", "abl_rfm", "darp", "all"] {
+            assert!(err.contains(name), "{args:?} stderr lacks {name}: {err}");
+        }
+    }
+    let out = bin().args(["study", "nope"]).output().expect("spawn");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown study"));
+}
+
+#[test]
+fn study_and_figures_reject_bad_values() {
+    let out = bin()
+        .args(["study", "faults", "--threads", "0"])
+        .output()
+        .expect("spawn");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown campaign"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("positive integer"));
 
     let out = bin()
         .args(["figures", "fig14", "--ecc", "maybe"])
@@ -387,26 +418,13 @@ fn figures_threads_flag_rejects_zero_and_garbage() {
 }
 
 #[test]
-fn figures_threads_env_rejects_garbage() {
-    let out = bin()
-        .args(["figures", "fig06"])
-        .env("SMARTREFRESH_THREADS", "several")
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("positive integer"));
-}
-
-#[test]
-fn figures_threads_flag_beats_env_and_runs() {
-    // The env value alone would be rejected; the explicit flag wins and
-    // the (tiny, scaled-down) figure regenerates on two workers, with its
+fn figures_threads_and_csv_flags_run() {
+    // The (tiny, scaled-down) figure regenerates on two workers, with its
     // CSV written alongside.
     let dir = std::env::temp_dir().join(format!("smart-refresh-cli-csv-{}", std::process::id()));
     let out = bin()
         .args(["figures", "fig06", "--threads", "2", "--scale", "0.01"])
         .args(["--csv", dir.to_str().expect("utf8")])
-        .env("SMARTREFRESH_THREADS", "0")
         .output()
         .expect("spawn");
     assert!(
