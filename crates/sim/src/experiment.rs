@@ -346,29 +346,25 @@ where
     let r = cfg.module.timing.retention;
     match cfg.policy {
         PolicyKind::CbrDistributed => {
-            run_events_typed(cfg, events, workload_name, apki, CbrDistributed::new(g, r))
+            replay(cfg, events, workload_name, apki, CbrDistributed::new(g, r))
         }
-        PolicyKind::RasOnlyDistributed => run_events_typed(
+        PolicyKind::RasOnlyDistributed => replay(
             cfg,
             events,
             workload_name,
             apki,
             RasOnlyDistributed::new(g, r),
         ),
-        PolicyKind::Burst => {
-            run_events_typed(cfg, events, workload_name, apki, BurstRefresh::new(g, r))
-        }
-        PolicyKind::Smart(scfg) => run_events_typed(
+        PolicyKind::Burst => replay(cfg, events, workload_name, apki, BurstRefresh::new(g, r)),
+        PolicyKind::Smart(scfg) => replay(
             cfg,
             events,
             workload_name,
             apki,
             SmartRefresh::new(g, r, scfg),
         ),
-        PolicyKind::NoRefresh => {
-            run_events_typed(cfg, events, workload_name, apki, NoRefresh::new())
-        }
-        PolicyKind::RetentionAware { profile_seed } => run_events_typed(
+        PolicyKind::NoRefresh => replay(cfg, events, workload_name, apki, NoRefresh::new()),
+        PolicyKind::RetentionAware { profile_seed } => replay(
             cfg,
             events,
             workload_name,
@@ -382,7 +378,7 @@ where
         PolicyKind::SmartRetentionAware {
             cfg: scfg,
             profile_seed,
-        } => run_events_typed(
+        } => replay(
             cfg,
             events,
             workload_name,
@@ -397,8 +393,9 @@ where
     }
 }
 
-/// The monomorphized experiment loop behind [`run_experiment_with_events`].
-fn run_events_typed<P, I>(
+/// Drives one monomorphized [`Run`] over an event stream, cut at the
+/// horizon, through the configuration's own [`Front`].
+fn replay<P, I>(
     cfg: &ExperimentConfig,
     events: I,
     workload_name: &'static str,
@@ -409,163 +406,275 @@ where
     P: RefreshPolicy,
     I: IntoIterator<Item = TraceEvent>,
 {
-    assert!(!cfg.measure.is_zero(), "measurement span must be positive");
-    let module = &cfg.module;
-    let mut device = crate::sanitize::device(module.geometry, module.timing);
-    if let Some(seed) = cfg.policy.profile_seed() {
-        // Integrity is validated against the same variable-retention
-        // profile the policy exploits.
-        device.apply_retention_profile(&RetentionProfile::rapid_like(
-            module.geometry.total_rows(),
-            seed,
-        ));
-    }
-    let mut mc = MemoryController::new(device, policy)
-        .with_page_policy(cfg.page_policy)
-        .with_counter_power(cfg.counter_power);
-    if let Some(ecc) = cfg.ecc {
-        mc = mc.with_ecc(ecc);
-    }
-    if let Some(d) = cfg.disturbance {
-        mc = mc.with_fault_injector(FaultInjector::new().with_disturbance(
-            FaultSite::ANY,
-            d.act_threshold,
-            d.flips_per_crossing,
-            cfg.seed,
-        ));
-    }
-    if let Some(rfm) = cfg.rfm {
-        mc = mc.with_rfm(rfm)?;
-    }
-    let mut l3 = match cfg.topology {
-        Topology::Conventional => None,
-        Topology::Stacked => Some(StackedDramCache::new(module.geometry.capacity_bytes())),
-    };
-    let mut memory_behind_cache = 0u64;
-
-    let warm_end = Instant::ZERO + cfg.warmup;
-    let horizon = warm_end + cfg.measure;
-    let gen = events.into_iter();
-
-    let mut warm_ops = OpStats::new();
-    let mut warm_ctrl = ControllerStats::new();
-    let mut warm_sram = (0u64, 0u64);
-    let mut warm_open = Duration::ZERO;
-    let mut warm_mem = 0u64;
-    let mut snapped = false;
-
-    for event in gen {
-        if event.time > horizon {
+    let mut run = Run::new(cfg, policy)?;
+    let mut front = Front::new(cfg);
+    for event in events {
+        if event.time > run.horizon {
             break;
         }
-        if !snapped && event.time > warm_end {
-            mc.advance_to(warm_end)?;
-            warm_ops = *mc.device().stats();
-            warm_ctrl = *mc.stats();
-            let t = mc.policy().sram_traffic();
-            warm_sram = (t.reads, t.writes);
-            warm_open = mc.device().total_open_time(warm_end);
-            warm_mem = memory_behind_cache;
-            snapped = true;
+        run.feed(front.translate(event))?;
+    }
+    run.finish(cfg, workload_name, apki, front.measured())
+}
+
+/// What a run turns its event stream into before the controller sees it:
+/// the events themselves (conventional topology), or the stacked-DRAM
+/// traffic of the Table 2 L3 they pass through (stacked topology), plus
+/// the main-memory traffic behind that cache.
+///
+/// The cache's transitions depend only on the events, never on the
+/// refresh policy, so one `Front` can feed several [`Run`]s of the same
+/// stream — the baseline/Smart pairs of the figure corpus share one.
+#[derive(Debug)]
+pub(crate) struct Front {
+    l3: Option<StackedDramCache>,
+    warm_end: Instant,
+    /// Main-memory fills plus write-backs behind the L3 so far.
+    behind: u64,
+    /// `behind` just before the first event past the warm-up — the same
+    /// event at which every [`Run`] fed from here takes its snapshot.
+    warm_behind: Option<u64>,
+}
+
+impl Front {
+    pub(crate) fn new(cfg: &ExperimentConfig) -> Self {
+        Front {
+            l3: match cfg.topology {
+                Topology::Conventional => None,
+                Topology::Stacked => {
+                    Some(StackedDramCache::new(cfg.module.geometry.capacity_bytes()))
+                }
+            },
+            warm_end: Instant::ZERO + cfg.warmup,
+            behind: 0,
+            warm_behind: None,
         }
-        match &mut l3 {
-            None => {
-                mc.access(MemTransaction {
-                    addr: event.addr,
-                    is_write: event.is_write,
-                    arrival: event.time,
-                })?;
-            }
+    }
+
+    /// The controller transaction for `event`.
+    #[inline]
+    pub(crate) fn translate(&mut self, event: TraceEvent) -> MemTransaction {
+        match &mut self.l3 {
+            None => MemTransaction {
+                addr: event.addr,
+                is_write: event.is_write,
+                arrival: event.time,
+            },
             Some(cache) => {
+                if self.warm_behind.is_none() && event.time > self.warm_end {
+                    self.warm_behind = Some(self.behind);
+                }
                 let t = cache.access(event.addr, event.is_write);
-                memory_behind_cache +=
+                self.behind +=
                     u64::from(t.memory_fill.is_some()) + u64::from(t.memory_writeback.is_some());
-                mc.access(MemTransaction {
+                MemTransaction {
                     addr: t.stacked_addr,
                     is_write: t.stacked_is_write,
                     arrival: event.time,
-                })?;
+                }
             }
         }
     }
-    if !snapped {
-        // Degenerate: the workload produced no events after warm-up; still
-        // snapshot at the boundary so deltas are well-defined.
-        mc.advance_to(warm_end)?;
-        warm_ops = *mc.device().stats();
-        warm_ctrl = *mc.stats();
-        let t = mc.policy().sram_traffic();
-        warm_sram = (t.reads, t.writes);
-        warm_open = mc.device().total_open_time(warm_end);
-        warm_mem = memory_behind_cache;
+
+    /// Main-memory accesses behind the L3 after the warm-up (zero for the
+    /// conventional topology, or when no event came after the warm-up).
+    pub(crate) fn measured(&self) -> u64 {
+        self.behind - self.warm_behind.unwrap_or(self.behind)
     }
-    mc.advance_to(horizon)?;
-    mc.check_sanitizer(horizon)?;
+}
 
-    let ops = mc.device().stats().delta_since(&warm_ops);
-    let ctrl = mc.stats().delta_since(&warm_ctrl);
-    let traffic = mc.policy().sram_traffic();
-    let sram_ops = (traffic.reads - warm_sram.0, traffic.writes - warm_sram.1);
-    let open_time = mc.device().total_open_time(horizon) - warm_open;
-    let integrity_ok = mc.device().check_integrity(horizon).is_ok();
-    let ended_in_fallback = mc.policy().in_fallback();
+/// The counters a run snapshots at the end of its warm-up; the measured
+/// results are deltas from here.
+#[derive(Debug, Clone, Copy)]
+struct Warm {
+    ops: OpStats,
+    ctrl: ControllerStats,
+    sram: (u64, u64),
+    open: Duration,
+}
 
-    let dram_energy = cfg
-        .power
-        .energy_with_powerdown(
-            &ops,
-            cfg.measure,
-            open_time,
-            ctrl.bus_charged_refreshes,
-            ctrl.powerdown_time.min(cfg.measure),
-        )
-        .map_err(|_| SimError::Internal {
-            what: "controller power-down/refresh bookkeeping is inconsistent",
-        })?;
-    let counters = SramArrayModel::artisan_90nm(&module.geometry, counter_bits(&cfg.policy));
-    let counter_sram_j = counters.energy(sram_ops.0, sram_ops.1);
-    // Counter power-state cost across CKE-low windows: retention leakage
-    // while persistent, checkpoint round trips while snapshotting. The
-    // conservative-reset policy pays nothing here — its cost shows up as
-    // refreshes it can no longer skip.
-    let counter_power_j = crate::powerdown::counter_power_energy(&cfg.counter_power, &ctrl);
-    let row_bits = 32 - (module.geometry.rows() - 1).leading_zeros();
-    let refresh_bus_j = cfg.bus.energy(row_bits, ctrl.bus_charged_refreshes);
-    // A patrol scrub occupies the bank like a RAS-cycle refresh; the ECC
-    // decoder fires once per column read and once per scrub.
-    let scrub_j = ops.scrubs as f64 * cfg.power.e_refresh_row;
-    // An RFM victim refresh is one RAS cycle against a neighbor row.
-    let rfm_j = ops.rfm_refreshes as f64 * cfg.power.e_refresh_row;
-    let ecc_logic_j = if cfg.ecc.is_some() {
-        EccLogicModel::hamming_72_64().energy(ops.reads + ops.scrubs, ctrl.ce_corrected)
-    } else {
-        0.0
-    };
+/// One experiment, steppable: [`Run::new`] builds the controller,
+/// [`Run::feed`] hands it one transaction at a time, and [`Run::finish`]
+/// drains it to the horizon and prices the measured window. Everything
+/// that runs an experiment — [`run_experiment_with_events`] and the
+/// figure corpus's streamed pairs — goes through this one core.
+pub(crate) struct Run<P: RefreshPolicy> {
+    mc: MemoryController<P>,
+    warm_end: Instant,
+    /// Transactions past this are the caller's to drop.
+    pub(crate) horizon: Instant,
+    warm: Option<Warm>,
+}
 
-    Ok(RunResult {
-        workload: workload_name,
-        policy: cfg.policy.name(),
-        refreshes_per_sec: ops.total_refreshes() as f64 / cfg.measure.as_secs_f64(),
-        energy: EnergyBreakdown {
-            dram: dram_energy,
-            counter_sram_j,
-            refresh_bus_j,
-            scrub_j,
-            ecc_logic_j,
-            counter_power_j,
-            rfm_j,
-            sarp_j: 0.0,
-        },
-        ops,
-        ctrl,
-        sram_ops,
-        queue_high_water: mc.policy().queue_high_water(),
-        ended_in_fallback,
-        integrity_ok,
-        memory_behind_cache: memory_behind_cache - warm_mem,
-        span: cfg.measure,
-        apki,
-    })
+impl<P: RefreshPolicy> Run<P> {
+    /// Builds the controller, device and feature stack `cfg` describes,
+    /// around `policy` (which must be the one `cfg.policy` names).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from the controller's feature builders.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration's measurement span is zero.
+    pub(crate) fn new(cfg: &ExperimentConfig, policy: P) -> Result<Self, SimError> {
+        assert!(!cfg.measure.is_zero(), "measurement span must be positive");
+        let module = &cfg.module;
+        let mut device = crate::sanitize::device(module.geometry, module.timing);
+        if let Some(seed) = cfg.policy.profile_seed() {
+            // Integrity is validated against the same variable-retention
+            // profile the policy exploits.
+            device.apply_retention_profile(&RetentionProfile::rapid_like(
+                module.geometry.total_rows(),
+                seed,
+            ));
+        }
+        let mut mc = MemoryController::new(device, policy)
+            .with_page_policy(cfg.page_policy)
+            .with_counter_power(cfg.counter_power);
+        if let Some(ecc) = cfg.ecc {
+            mc = mc.with_ecc(ecc);
+        }
+        if let Some(d) = cfg.disturbance {
+            mc = mc.with_fault_injector(FaultInjector::new().with_disturbance(
+                FaultSite::ANY,
+                d.act_threshold,
+                d.flips_per_crossing,
+                cfg.seed,
+            ));
+        }
+        if let Some(rfm) = cfg.rfm {
+            mc = mc.with_rfm(rfm)?;
+        }
+        let warm_end = Instant::ZERO + cfg.warmup;
+        Ok(Run {
+            mc,
+            warm_end,
+            horizon: warm_end + cfg.measure,
+            warm: None,
+        })
+    }
+
+    /// Serves one demand transaction, snapshotting the warm-up counters
+    /// first if it is the first one past the warm-up.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from the controller.
+    // Forced: left to the inliner, `feed` stayed an out-of-line call per
+    // event, and the figure corpus's streamed pairs ran measurably slower.
+    #[inline(always)]
+    pub(crate) fn feed(&mut self, tx: MemTransaction) -> Result<(), SimError> {
+        if self.warm.is_none() && tx.arrival > self.warm_end {
+            self.warm = Some(self.snapshot()?);
+        }
+        self.mc.access(tx)?;
+        Ok(())
+    }
+
+    fn snapshot(&mut self) -> Result<Warm, SimError> {
+        self.mc.advance_to(self.warm_end)?;
+        let t = self.mc.policy().sram_traffic();
+        Ok(Warm {
+            ops: *self.mc.device().stats(),
+            ctrl: *self.mc.stats(),
+            sram: (t.reads, t.writes),
+            open: self.mc.device().total_open_time(self.warm_end),
+        })
+    }
+
+    /// Drains the controller to the horizon and prices the measured
+    /// window. `memory_behind_cache` is the [`Front::measured`] count of
+    /// the stream this run was fed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from the controller, the sanitizer, or an
+    /// inconsistent power-down/refresh bookkeeping.
+    pub(crate) fn finish(
+        mut self,
+        cfg: &ExperimentConfig,
+        workload_name: &'static str,
+        apki: f64,
+        memory_behind_cache: u64,
+    ) -> Result<RunResult, SimError> {
+        let warm = match self.warm {
+            Some(warm) => warm,
+            // Degenerate: the workload produced no events after warm-up;
+            // still snapshot at the boundary so deltas are well-defined.
+            None => self.snapshot()?,
+        };
+        let horizon = self.horizon;
+        let mc = &mut self.mc;
+        mc.advance_to(horizon)?;
+        mc.check_sanitizer(horizon)?;
+
+        let module = &cfg.module;
+        let ops = mc.device().stats().delta_since(&warm.ops);
+        let ctrl = mc.stats().delta_since(&warm.ctrl);
+        let traffic = mc.policy().sram_traffic();
+        let sram_ops = (traffic.reads - warm.sram.0, traffic.writes - warm.sram.1);
+        let open_time = mc.device().total_open_time(horizon) - warm.open;
+        let integrity_ok = mc.device().check_integrity(horizon).is_ok();
+        let ended_in_fallback = mc.policy().in_fallback();
+
+        let dram_energy = cfg
+            .power
+            .energy_with_powerdown(
+                &ops,
+                cfg.measure,
+                open_time,
+                ctrl.bus_charged_refreshes,
+                ctrl.powerdown_time.min(cfg.measure),
+            )
+            .map_err(|_| SimError::Internal {
+                what: "controller power-down/refresh bookkeeping is inconsistent",
+            })?;
+        let counters = SramArrayModel::artisan_90nm(&module.geometry, counter_bits(&cfg.policy));
+        let counter_sram_j = counters.energy(sram_ops.0, sram_ops.1);
+        // Counter power-state cost across CKE-low windows: retention
+        // leakage while persistent, checkpoint round trips while
+        // snapshotting. The conservative-reset policy pays nothing here —
+        // its cost shows up as refreshes it can no longer skip.
+        let counter_power_j = crate::powerdown::counter_power_energy(&cfg.counter_power, &ctrl);
+        let row_bits = 32 - (module.geometry.rows() - 1).leading_zeros();
+        let refresh_bus_j = cfg.bus.energy(row_bits, ctrl.bus_charged_refreshes);
+        // A patrol scrub occupies the bank like a RAS-cycle refresh; the
+        // ECC decoder fires once per column read and once per scrub.
+        let scrub_j = ops.scrubs as f64 * cfg.power.e_refresh_row;
+        // An RFM victim refresh is one RAS cycle against a neighbor row.
+        let rfm_j = ops.rfm_refreshes as f64 * cfg.power.e_refresh_row;
+        let ecc_logic_j = if cfg.ecc.is_some() {
+            EccLogicModel::hamming_72_64().energy(ops.reads + ops.scrubs, ctrl.ce_corrected)
+        } else {
+            0.0
+        };
+
+        Ok(RunResult {
+            workload: workload_name,
+            policy: cfg.policy.name(),
+            refreshes_per_sec: ops.total_refreshes() as f64 / cfg.measure.as_secs_f64(),
+            energy: EnergyBreakdown {
+                dram: dram_energy,
+                counter_sram_j,
+                refresh_bus_j,
+                scrub_j,
+                ecc_logic_j,
+                counter_power_j,
+                rfm_j,
+                sarp_j: 0.0,
+            },
+            ops,
+            ctrl,
+            sram_ops,
+            queue_high_water: mc.policy().queue_high_water(),
+            ended_in_fallback,
+            integrity_ok,
+            memory_behind_cache,
+            span: cfg.measure,
+            apki,
+        })
+    }
 }
 
 fn counter_bits(policy: &PolicyKind) -> u32 {

@@ -9,17 +9,21 @@
 //! Paper reference values (baselines and GMEANs) are embedded as constants
 //! so reports can always print paper-vs-measured side by side.
 
-use smartrefresh_core::SmartRefreshConfig;
+use smartrefresh_core::{CbrDistributed, SmartRefresh, SmartRefreshConfig};
 use smartrefresh_ctrl::{EccConfig, ScrubConfig, SimError};
 use smartrefresh_dram::configs::{conventional_2gb, conventional_4gb, stacked_3d_64mb};
-use smartrefresh_dram::time::{Duration, Instant};
+use smartrefresh_dram::time::Duration;
 use smartrefresh_dram::ModuleConfig;
 use smartrefresh_energy::{geometric_mean, mean, DramPowerParams};
-use smartrefresh_workloads::{catalog, AccessGenerator, Suite, TraceEvent, WorkloadSpec};
+use smartrefresh_workloads::{catalog, AccessGenerator, BenchmarkEntry, Suite, WorkloadSpec};
 
-use crate::experiment::{
-    run_experiment_with_events, ExperimentConfig, PolicyKind, RunResult, Topology,
-};
+use crate::experiment::{ExperimentConfig, Front, PolicyKind, Run, RunResult, Topology};
+
+/// Events a streamed corpus pair generates at a time: each chunk passes
+/// the shared L3 once and is then served to both runs. A constant, not a
+/// knob — results are the same at any chunk size, only memory (24 B per
+/// event) and cache locality move.
+const PAIR_CHUNK: usize = 4096;
 
 /// The evaluation figures of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -262,7 +266,13 @@ impl Evaluation {
         self.ecc
     }
 
-    fn run_corpus(&self, id: CorpusId) -> Result<Vec<BenchPair>, SimError> {
+    /// The workload and CBR-baseline configuration of `entry`'s pair in
+    /// corpus `id`; the Smart run differs only in its policy.
+    fn pair_config(
+        &self,
+        id: CorpusId,
+        entry: &BenchmarkEntry,
+    ) -> (WorkloadSpec, ExperimentConfig) {
         let (module, power, topology): (ModuleConfig, DramPowerParams, Topology) = match id {
             CorpusId::Conv2Gb => (
                 conventional_2gb(),
@@ -285,69 +295,44 @@ impl Evaluation {
                 Topology::Stacked,
             ),
         };
+        let spec: WorkloadSpec = match id {
+            CorpusId::Conv2Gb => entry.conventional.clone(),
+            CorpusId::Conv4Gb => entry.conventional_4gb(),
+            CorpusId::Stacked64Ms | CorpusId::Stacked32Ms => entry.stacked.clone(),
+        };
+        let mut base_cfg = match topology {
+            Topology::Conventional => {
+                ExperimentConfig::conventional(module, power, PolicyKind::CbrDistributed)
+            }
+            Topology::Stacked => {
+                ExperimentConfig::stacked(module, power, PolicyKind::CbrDistributed)
+            }
+        }
+        .scaled(self.scale);
+        base_cfg.seed = self.seed;
+        // Workload timescale is fixed at 64 ms regardless of how hot
+        // (fast-refreshing) the module is.
+        base_cfg.reference = Duration::from_ms(64);
+        if self.ecc && topology == Topology::Stacked {
+            let m = &base_cfg.module;
+            base_cfg.ecc = Some(EccConfig::new(self.seed).with_scrub(ScrubConfig::covering(
+                m.timing.retention,
+                m.geometry.total_rows(),
+            )));
+        }
+        (spec, base_cfg)
+    }
+
+    fn run_corpus(&self, id: CorpusId) -> Result<Vec<BenchPair>, SimError> {
         // Each benchmark entry is an independent pair of experiments with
         // its own seeded generator, so the corpus shards across worker
         // threads and merges in catalog order — bit-identical to the
         // sequential loop at any thread count.
         let entries = catalog();
         crate::parallel::par_map(self.threads, &entries, |_, entry| {
-            let spec: WorkloadSpec = match id {
-                CorpusId::Conv2Gb => entry.conventional.clone(),
-                CorpusId::Conv4Gb => entry.conventional_4gb(),
-                CorpusId::Stacked64Ms | CorpusId::Stacked32Ms => entry.stacked.clone(),
-            };
-            let mut base_cfg = match topology {
-                Topology::Conventional => ExperimentConfig::conventional(
-                    module.clone(),
-                    power,
-                    PolicyKind::CbrDistributed,
-                ),
-                Topology::Stacked => {
-                    ExperimentConfig::stacked(module.clone(), power, PolicyKind::CbrDistributed)
-                }
-            }
-            .scaled(self.scale);
-            base_cfg.seed = self.seed;
-            // Workload timescale is fixed at 64 ms regardless of how hot
-            // (fast-refreshing) the module is.
-            base_cfg.reference = Duration::from_ms(64);
-            if self.ecc && topology == Topology::Stacked {
-                base_cfg.ecc = Some(EccConfig::new(self.seed).with_scrub(ScrubConfig::covering(
-                    module.timing.retention,
-                    module.geometry.total_rows(),
-                )));
-            }
-            let mut smart_cfg = base_cfg.clone();
-            smart_cfg.policy = PolicyKind::Smart(SmartRefreshConfig::paper_defaults());
-            // The baseline and Smart runs consume the *same* event stream
-            // (same spec, geometry, reference, seed, and horizon), so
-            // generate it once and replay it — sampling the generator is a
-            // measurable slice of corpus wall-clock (an `ln` per event).
-            let workload_geometry = base_cfg
-                .workload_geometry
-                .unwrap_or(base_cfg.module.geometry);
-            let horizon = Instant::ZERO + base_cfg.warmup + base_cfg.measure;
-            let events: Vec<TraceEvent> = AccessGenerator::new(
-                &spec,
-                workload_geometry,
-                base_cfg.reference,
-                0,
-                base_cfg.seed,
-            )
-            .take_while(|e| e.time <= horizon)
-            .collect();
-            let baseline = run_experiment_with_events(
-                &base_cfg,
-                events.iter().copied(),
-                spec.name,
-                spec.apki,
-            )?;
-            let smart = run_experiment_with_events(
-                &smart_cfg,
-                events.iter().copied(),
-                spec.name,
-                spec.apki,
-            )?;
+            let (spec, base_cfg) = self.pair_config(id, entry);
+            let (baseline, smart) =
+                replay_pair(&base_cfg, SmartRefreshConfig::paper_defaults(), &spec)?;
             assert!(
                 baseline.integrity_ok && smart.integrity_ok,
                 "{}: retention violated",
@@ -443,6 +428,61 @@ impl Default for Evaluation {
     }
 }
 
+/// Runs one corpus pair — `base_cfg` under CBR and the same
+/// configuration under Smart Refresh `smart` — over `spec`'s stream, with
+/// memory independent of the span.
+///
+/// Both runs consume the *same* event stream (same spec, geometry,
+/// reference, seed, and horizon), and the stacked L3 in front of them
+/// turns it into the same traffic whatever the policy. So both are live
+/// at once behind one generator and one [`Front`]: each [`PAIR_CHUNK`] of
+/// events is generated and filtered once, then served to the baseline and
+/// then to Smart Refresh. The results are bit-identical to two
+/// [`run_experiment_with_events`](crate::experiment::run_experiment_with_events)
+/// calls over the collected stream.
+fn replay_pair(
+    base_cfg: &ExperimentConfig,
+    smart: SmartRefreshConfig,
+    spec: &WorkloadSpec,
+) -> Result<(RunResult, RunResult), SimError> {
+    let smart_cfg = ExperimentConfig {
+        policy: PolicyKind::Smart(smart),
+        ..base_cfg.clone()
+    };
+    let (g, r) = (base_cfg.module.geometry, base_cfg.module.timing.retention);
+    let mut baseline = Run::new(base_cfg, CbrDistributed::new(g, r))?;
+    let mut smart = Run::new(&smart_cfg, SmartRefresh::new(g, r, smart))?;
+    let mut front = Front::new(base_cfg);
+    let horizon = baseline.horizon;
+    let mut events = AccessGenerator::new(
+        spec,
+        base_cfg.workload_geometry.unwrap_or(g),
+        base_cfg.reference,
+        0,
+        base_cfg.seed,
+    )
+    .take_while(|e| e.time <= horizon);
+    let mut chunk = Vec::with_capacity(PAIR_CHUNK);
+    loop {
+        chunk.clear();
+        chunk.extend(events.by_ref().take(PAIR_CHUNK).map(|e| front.translate(e)));
+        if chunk.is_empty() {
+            break;
+        }
+        for &tx in &chunk {
+            baseline.feed(tx)?;
+        }
+        for &tx in &chunk {
+            smart.feed(tx)?;
+        }
+    }
+    let behind = front.measured();
+    Ok((
+        baseline.finish(base_cfg, spec.name, spec.apki, behind)?,
+        smart.finish(&smart_cfg, spec.name, spec.apki, behind)?,
+    ))
+}
+
 fn figure_value(id: FigureId, p: &BenchPair) -> f64 {
     match id {
         FigureId::Fig06 | FigureId::Fig09 | FigureId::Fig12 | FigureId::Fig15 => {
@@ -463,6 +503,7 @@ fn figure_value(id: FigureId, p: &BenchPair) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartrefresh_dram::time::Instant;
 
     #[test]
     fn figure_metadata_is_complete() {
@@ -488,6 +529,79 @@ mod tests {
     #[should_panic(expected = "scale must be positive")]
     fn zero_scale_rejected() {
         Evaluation::with_scale(0.0);
+    }
+
+    /// The streamed pair against the two-pass replay it replaces: collect
+    /// the stream, then run the baseline and Smart Refresh over it with
+    /// [`run_experiment_with_events`]. Each case's stream is longer than
+    /// one chunk and not a whole number of chunks, so the last chunk is a
+    /// partial one.
+    #[test]
+    fn streamed_pairs_equal_two_collected_replays() {
+        use crate::digest::digest_run;
+        use crate::experiment::run_experiment_with_events;
+        let entry = catalog()
+            .into_iter()
+            .find(|e| e.name() == "water-spatial")
+            .expect("catalog entry");
+        let conventional = Evaluation::with_scale(0.002);
+        let stacked = Evaluation::with_scale(0.05);
+        let stacked_ecc = Evaluation::with_scale(0.05).with_ecc();
+        for (eval, id) in [
+            (&conventional, CorpusId::Conv2Gb),
+            (&stacked, CorpusId::Stacked32Ms),
+            (&stacked_ecc, CorpusId::Stacked32Ms),
+        ] {
+            let (spec, base_cfg) = eval.pair_config(id, &entry);
+            assert_eq!(base_cfg.ecc.is_some(), eval.ecc_enabled(), "{id:?}");
+            let smart = SmartRefreshConfig::paper_defaults();
+            let smart_cfg = ExperimentConfig {
+                policy: PolicyKind::Smart(smart),
+                ..base_cfg.clone()
+            };
+            let horizon = Instant::ZERO + base_cfg.warmup + base_cfg.measure;
+            let events: Vec<_> = AccessGenerator::new(
+                &spec,
+                base_cfg.module.geometry,
+                base_cfg.reference,
+                0,
+                base_cfg.seed,
+            )
+            .take_while(|e| e.time <= horizon)
+            .collect();
+            assert!(
+                events.len() > PAIR_CHUNK && events.len() % PAIR_CHUNK != 0,
+                "{id:?}: {} events must span a partial last chunk",
+                events.len()
+            );
+            let collected = |cfg: &ExperimentConfig| {
+                run_experiment_with_events(cfg, events.iter().copied(), spec.name, spec.apki)
+                    .expect("collected replay")
+            };
+            let (b, s) = replay_pair(&base_cfg, smart, &spec).expect("streamed pair");
+            assert_eq!(
+                digest_run(&b),
+                digest_run(&collected(&base_cfg)),
+                "{id:?} baseline"
+            );
+            assert_eq!(
+                digest_run(&s),
+                digest_run(&collected(&smart_cfg)),
+                "{id:?} smart"
+            );
+            if id != CorpusId::Conv2Gb {
+                assert!(
+                    b.memory_behind_cache > 0,
+                    "{id:?}: the L3 sent traffic behind it"
+                );
+            }
+            if eval.ecc_enabled() {
+                assert!(
+                    b.ops.scrubs > 0 && s.ops.scrubs > 0,
+                    "the ECC stack scrubbed"
+                );
+            }
+        }
     }
 
     #[test]

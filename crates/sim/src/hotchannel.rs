@@ -293,40 +293,115 @@ fn scheduler_for(
     )
 }
 
+/// The exact demand-latency distribution of a run, in memory bounded by
+/// the number of *distinct* latencies rather than by the number of reads:
+/// `(latency, count)` bins kept sorted by latency, plus a running sum.
+/// The hot channel serves a few hundred thousand reads at two or three
+/// latencies, so a sort-free tally holds a handful of bins.
+#[derive(Debug, Default)]
+struct LatencyTally {
+    /// `(latency, reads at it)`, strictly ascending by latency.
+    bins: Vec<(Duration, u64)>,
+    /// Index of the bin the last read landed in — consecutive reads
+    /// mostly repeat a latency, so it is checked before the search.
+    last: usize,
+    reads: u64,
+    sum_ps: u64,
+}
+
+impl LatencyTally {
+    fn record(&mut self, latency: Duration) {
+        self.reads += 1;
+        self.sum_ps += latency.as_ps();
+        if let Some(bin) = self.bins.get_mut(self.last) {
+            if bin.0 == latency {
+                bin.1 += 1;
+                return;
+            }
+        }
+        match self.bins.binary_search_by_key(&latency, |b| b.0) {
+            Ok(i) => {
+                self.bins[i].1 += 1;
+                self.last = i;
+            }
+            Err(i) => {
+                self.bins.insert(i, (latency, 1));
+                self.last = i;
+            }
+        }
+    }
+
+    /// Mean latency (zero with no reads).
+    fn avg(&self) -> Duration {
+        Duration::from_ps(self.sum_ps / self.reads.max(1))
+    }
+
+    /// The 99th percentile under the nearest-rank rule a sorted sample
+    /// would give: the latency at rank `(reads·99/100).min(reads−1)`,
+    /// i.e. the first bin whose cumulative count exceeds that rank.
+    /// `None` with no reads.
+    fn p99(&self) -> Option<Duration> {
+        let rank = (self.reads * 99 / 100).min(self.reads.checked_sub(1)?);
+        let mut seen = 0u64;
+        self.bins.iter().find_map(|&(latency, count)| {
+            seen += count;
+            (seen > rank).then_some(latency)
+        })
+    }
+}
+
 /// Runs one setup.
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from the system or the scheduler.
+/// [`SimError::Config`] when the configuration issues no demand reads
+/// (`epochs`, `burst_reads`, or the number of whole burst cycles in the
+/// horizon is zero) — the p99 of no reads is undefined. Otherwise
+/// propagates [`SimError`] from the system or the scheduler.
 pub fn run_hot_channel_setup(
     cfg: &HotChannelConfig,
     setup: HotSetup,
 ) -> Result<HotChannelOutcome, SimError> {
     let g = cfg.module.geometry;
+    let cycles = cfg
+        .horizon()
+        .as_ps()
+        .checked_div(cfg.burst_cycle.as_ps())
+        .unwrap_or(0);
+    if cycles == 0 || cfg.burst_reads == 0 {
+        return Err(SimError::Config {
+            what: "hot-channel setup issues no demand reads: epochs, burst_reads \
+                   or whole burst cycles in the horizon is zero",
+        });
+    }
     let mut sys = build_system(cfg, setup)?;
     let mut sched = scheduler_for(cfg, &sys, setup)?;
     let horizon = Instant::ZERO + cfg.horizon();
-    let cycles = cfg.horizon().as_ps() / cfg.burst_cycle.as_ps();
     let banks = g.banks();
     let rows = g.rows();
-    let mut latencies: Vec<Duration> = Vec::new();
-    for c in 0..cycles {
-        let start = Instant::ZERO + cfg.burst_cycle * c;
-        // The burst: the first lap touches every bank's row 0 (pinning a
-        // page open on all of them), then the rotation drops the last
-        // bank — its page stays *open* for the rest of the run (so the
-        // scheduler's no-idle-bank arm still engages) but goes *cold*
-        // after the DARP hot window, giving deferred refreshes an idle
-        // bank to overtake the held hot-bank entries through (the
-        // out-of-order half of DARP).
-        for j in 0..cfg.burst_reads {
-            let now = start + cfg.access_gap * u64::from(j + 1);
-            sched.advance(&mut sys, now)?;
+    // The burst: the first lap touches every bank's row 0 (pinning a page
+    // open on all of them), then the rotation drops the last bank — its
+    // page stays *open* for the rest of the run (so the scheduler's
+    // no-idle-bank arm still engages) but goes *cold* after the DARP hot
+    // window, giving deferred refreshes an idle bank to overtake the held
+    // hot-bank entries through (the out-of-order half of DARP). Read `j`
+    // of every burst targets the same row, so its address is resolved
+    // once here.
+    let burst: Vec<u64> = (0..cfg.burst_reads)
+        .map(|j| {
             let bank = if j < banks { j } else { j % (banks - 1).max(1) };
             let flat = u64::from(bank) * u64::from(rows);
-            let addr = sys.global_addr(0, addr_of(&g, g.unflatten(flat)));
+            sys.global_addr(0, addr_of(&g, g.unflatten(flat)))
+        })
+        .collect();
+    let mut latencies = LatencyTally::default();
+    for c in 0..cycles {
+        let start = Instant::ZERO + cfg.burst_cycle * c;
+        for (j, &addr) in (1u64..).zip(&burst) {
+            let now = start + cfg.access_gap * j;
+            sched.advance(&mut sys, now)?;
             let r = sys.access(addr, false, now)?;
-            latencies.push(r.completed_at.since(now));
+            latencies.record(r.completed_at.since(now));
         }
         // The quiet window: the banks cool past the DARP hot window, so
         // these ticks are where the deferral queue drains (and where the
@@ -341,11 +416,9 @@ pub fn run_hot_channel_setup(
     sys.advance_to(horizon)?;
     sys.check_sanitizer(horizon)?;
 
-    latencies.sort_unstable();
-    let reads = latencies.len() as u64;
-    let p99 = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
-    let sum_ps: u64 = latencies.iter().map(|d| d.as_ps()).sum();
-    let avg = Duration::from_ps(sum_ps / reads.max(1));
+    let p99 = latencies.p99().ok_or(SimError::Internal {
+        what: "hot-channel run recorded no demand reads",
+    })?;
 
     let channels = sys.channels();
     let mut end_violations = Vec::new();
@@ -369,8 +442,8 @@ pub fn run_hot_channel_setup(
     let s = sched.stats();
     Ok(HotChannelOutcome {
         setup,
-        reads,
-        avg_latency: avg,
+        reads: latencies.reads,
+        avg_latency: latencies.avg(),
         p99_latency: p99,
         closures: ops.refreshes_closing_open_page,
         sarp_overlaps: ops.sarp_overlapped_refreshes,
@@ -441,6 +514,63 @@ mod tests {
         assert!(DarpConfig::bounded_by_trefi(cfg.trefi()).max_deferral < cfg.trefi() * 8);
         // The horizon is a whole number of burst cycles.
         assert_eq!(cfg.horizon().as_ps() % cfg.burst_cycle.as_ps(), 0);
+    }
+
+    /// The sort the tally replaces: `(reads, avg, p99)` of a sorted copy.
+    fn sort_oracle(latencies: &[Duration]) -> (u64, Duration, Duration) {
+        let mut sorted = latencies.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let sum: u64 = sorted.iter().map(|d| d.as_ps()).sum();
+        (
+            n as u64,
+            Duration::from_ps(sum / n as u64),
+            sorted[(n * 99 / 100).min(n - 1)],
+        )
+    }
+
+    fn tally_of(latencies: &[Duration]) -> (u64, Duration, Option<Duration>) {
+        let mut tally = LatencyTally::default();
+        for &d in latencies {
+            tally.record(d);
+        }
+        assert!(
+            tally.bins.windows(2).all(|w| w[0].0 < w[1].0),
+            "bins must stay strictly ascending"
+        );
+        (tally.reads, tally.avg(), tally.p99())
+    }
+
+    #[test]
+    fn latency_tally_matches_a_sort_oracle() {
+        use smartrefresh_dram::rng::Rng;
+        let mut rng = Rng::seed_from_u64(0x7A11);
+        // 1, 99, 100 and 101 reads straddle the rank rule's edges; the
+        // distinct-value counts run from all ties to (almost) no ties.
+        for reads in [1usize, 2, 99, 100, 101, 1000, 4096] {
+            for distinct in [1u64, 3, 40, 1 << 32] {
+                let stream: Vec<Duration> = (0..reads)
+                    .map(|_| Duration::from_ps(20_000 + rng.gen_range(0..distinct) * 1_500))
+                    .collect();
+                let (n, avg, p99) = sort_oracle(&stream);
+                assert_eq!(
+                    tally_of(&stream),
+                    (n, avg, Some(p99)),
+                    "{reads} reads over {distinct} distinct latencies"
+                );
+            }
+            // One slow read first, then `reads - 1` fast ones: the slow
+            // read is the p99 up to 100 reads (the rank is clamped to the
+            // last index) and stops being it at 101.
+            let (fast, slow) = (Duration::from_ns(20), Duration::from_ns(36));
+            let mut stream = vec![slow];
+            stream.resize(reads, fast);
+            let want = if reads <= 100 { slow } else { fast };
+            assert_eq!(sort_oracle(&stream).2, want, "{reads} reads (oracle)");
+            assert_eq!(tally_of(&stream).2, Some(want), "{reads} reads");
+        }
+        assert_eq!(LatencyTally::default().p99(), None, "no reads, no p99");
+        assert_eq!(LatencyTally::default().avg(), Duration::ZERO);
     }
 
     #[test]

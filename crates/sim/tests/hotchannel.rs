@@ -3,6 +3,7 @@
 //! the livelock regression (pinned pages on every bank must never cost a
 //! coverage promise), and thread-count determinism of the whole report.
 
+use smartrefresh_ctrl::SimError;
 use smartrefresh_sim::digest::Digest64;
 use smartrefresh_sim::hotchannel::{
     run_hot_channel_campaign_threaded, run_hot_channel_setup, HotChannelConfig, HotSetup,
@@ -94,6 +95,30 @@ fn campaign_report_is_identical_across_thread_counts() {
         assert_eq!(got, reference, "report differs at {threads} threads");
     }
     assert_eq!(report_digest(&reference), 0x6828_0fc4_eec3_872f);
+}
+
+/// A setup that issues no demand reads has no p99: it is a configuration
+/// error, not a panic on an empty latency list.
+#[test]
+fn a_setup_with_no_reads_is_a_config_error() {
+    let no_epochs = HotChannelConfig { epochs: 0, ..cfg() };
+    let no_reads = HotChannelConfig {
+        burst_reads: 0,
+        ..cfg()
+    };
+    for (what, c) in [("epochs = 0", no_epochs), ("burst_reads = 0", no_reads)] {
+        for setup in [HotSetup::Static, HotSetup::Darp] {
+            let err = run_hot_channel_setup(&c, setup).unwrap_err();
+            assert!(
+                matches!(err, SimError::Config { .. }),
+                "{what}, {setup:?}: {err:?}"
+            );
+        }
+        assert!(
+            run_hot_channel_campaign_threaded(&c, 2).is_err(),
+            "{what}: the campaign must fail too"
+        );
+    }
 }
 
 /// FNV-1a digest of a rendered campaign report, pinned so any change to

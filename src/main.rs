@@ -16,7 +16,7 @@
 //! loudly instead of silently running the default configuration.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use smart_refresh::core::{write_atomic, SmartRefreshConfig};
@@ -37,6 +37,35 @@ use smart_refresh::sim::{run_experiment, ExperimentConfig, PolicyKind, Topology}
 use smart_refresh::study::{self, Study, STUDIES};
 use smart_refresh::workloads::trace::{read_trace, write_trace};
 use smart_refresh::workloads::{catalog, find, AccessGenerator, WorkloadSpec};
+
+/// Writes to stdout. Every stdout byte of the CLI goes through here, so a
+/// reader that goes away early (`smart-refresh figures all | head -1`)
+/// ends the process quietly with status 0, as it would a Unix filter,
+/// instead of a `println!` panic. Any other write error is reported on
+/// stderr and exits 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,7 +102,7 @@ fn main() -> ExitCode {
 }
 
 fn print_help() {
-    println!(
+    outln!(
         "smart-refresh — reproduction of Smart Refresh (MICRO 2007)\n\
          \n\
          USAGE:\n\
@@ -253,7 +282,7 @@ fn cmd_figures(args: &[String]) -> Result<(), String> {
         }
         matched = true;
         let fig = eval.figure(id).map_err(|e| e.to_string())?;
-        println!("{}", render_figure(&fig));
+        outln!("{}", render_figure(&fig));
         if let Some(dir) = &csv_dir {
             // Lowercase only the file name: the directory is user input
             // and must keep its case.
@@ -291,7 +320,7 @@ fn cmd_study(args: &[String]) -> Result<bool, String> {
     for s in &selected {
         match (s.run)(threads) {
             Ok((report, held)) => {
-                print!("{report}");
+                out!("{report}");
                 let digest = study::report_digest(&report);
                 if !held {
                     eprintln!("study {} failed: {} did not hold", s.name, s.claim);
@@ -324,8 +353,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let (cfg, module_name) = build_config(args)?;
     let spec = lookup_spec(args, module_name)?;
     let r = run_experiment(&cfg, &spec).map_err(|e| e.to_string())?;
-    println!("module {module_name} | {}", render_run(&r));
-    println!("{}", r.energy);
+    outln!("module {module_name} | {}", render_run(&r));
+    outln!("{}", r.energy);
     Ok(())
 }
 
@@ -343,13 +372,18 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         c.policy = PolicyKind::CbrDistributed;
         run_experiment(&c, &spec).map_err(|e| e.to_string())?
     };
-    println!(
+    outln!(
         "sweep of Smart Refresh configurations | module {module_name} | workload {}",
         spec.name
     );
-    println!(
+    outln!(
         "{:>5} {:>9} {:>12} {:>11} {:>11} {:>8}",
-        "bits", "segments", "refreshes/s", "reduction", "totE save", "queue"
+        "bits",
+        "segments",
+        "refreshes/s",
+        "reduction",
+        "totE save",
+        "queue"
     );
     for bits in [2u32, 3, 4] {
         for segments in [4u32, 8, 16] {
@@ -366,7 +400,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                     "bits={bits} segments={segments}: retention violated"
                 ));
             }
-            println!(
+            outln!(
                 "{bits:>5} {segments:>9} {:>12.0} {:>10.1}% {:>10.1}% {:>8}",
                 r.refreshes_per_sec,
                 (1.0 - r.refreshes_per_sec / baseline.refreshes_per_sec) * 100.0,
@@ -405,7 +439,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let events: Vec<_> = gen.take_while(|e| e.time <= horizon).collect();
     let file = File::create(&path).map_err(|e| e.to_string())?;
     write_trace(BufWriter::new(file), &events).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {} events ({seconds}s of {}) to {path}",
         events.len(),
         spec.name
@@ -424,10 +458,10 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let path = flag(args, "--trace").ok_or("missing --trace")?;
     let file = File::open(&path).map_err(|e| e.to_string())?;
     let events = read_trace(BufReader::new(file)).map_err(|e| e.to_string())?;
-    println!("replaying {} events from {path}", events.len());
+    outln!("replaying {} events from {path}", events.len());
     let r = smart_refresh::sim::experiment::run_experiment_with_events(&cfg, events, "trace", 5.0)
         .map_err(|e| e.to_string())?;
-    println!("module {module_name} | {}", render_run(&r));
+    outln!("module {module_name} | {}", render_run(&r));
     Ok(())
 }
 
@@ -534,9 +568,11 @@ fn cmd_orchestrate(args: &[String]) -> Result<(), String> {
         let mut mismatches = 0usize;
         for v in &report {
             let verdict = if v.matches() { "ok" } else { "MISMATCH" };
-            println!(
+            outln!(
                 "cell #{:<5} recorded {:#018x} replayed {:#018x} {verdict}",
-                v.index, v.recorded, v.fresh
+                v.index,
+                v.recorded,
+                v.fresh
             );
             mismatches += usize::from(!v.matches());
         }
@@ -546,7 +582,7 @@ fn cmd_orchestrate(args: &[String]) -> Result<(), String> {
                 report.len()
             ));
         }
-        println!(
+        outln!(
             "replay verification: {}/{} sampled shards reproduced bit-exactly",
             report.len(),
             report.len()
@@ -571,7 +607,7 @@ fn cmd_orchestrate(args: &[String]) -> Result<(), String> {
     let (mut ckpt, out_dir) = if let Some(dir) = flag(args, "--resume") {
         let dir = std::path::PathBuf::from(dir);
         let ckpt = FleetCheckpoint::load(&dir, None).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "resuming campaign at epoch {} ({} cells)",
             ckpt.epoch,
             ckpt.grid.cell_count()
@@ -602,7 +638,7 @@ fn cmd_orchestrate(args: &[String]) -> Result<(), String> {
                 )
             })
             .count();
-        println!(
+        outln!(
             "epoch {:>4} | {done}/{} cells terminal",
             c.epoch,
             c.cells.len()
@@ -615,23 +651,26 @@ fn cmd_orchestrate(args: &[String]) -> Result<(), String> {
             .as_deref()
             .map(|d| d.display().to_string())
             .unwrap_or_else(|| "<no --out dir>".into());
-        println!(
+        outln!(
             "halted by --halt-after-epochs; resume with `smart-refresh orchestrate --resume {dir}`"
         );
         return Ok(());
     }
-    print!("{}", render_fleet(&ckpt));
+    out!("{}", render_fleet(&ckpt));
     Ok(())
 }
 
 fn cmd_list(args: &[String]) -> Result<(), String> {
     check_flags("list", args, &[], 0)?;
-    println!(
+    outln!(
         "{:<18} {:>28} {:>8} {:>8}",
-        "workload", "suite", "cov-2gb", "cov-3d"
+        "workload",
+        "suite",
+        "cov-2gb",
+        "cov-3d"
     );
     for e in catalog() {
-        println!(
+        outln!(
             "{:<18} {:>28} {:>8.2} {:>8.2}",
             e.name(),
             e.suite().to_string(),
@@ -650,7 +689,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         stacked_3d_64mb(Duration::from_ms(64)),
         stacked_3d_64mb(Duration::from_ms(32)),
     ] {
-        println!(
+        outln!(
             "{:<10} {} | refresh {} | baseline {:.0}/s | counters (3-bit) {:.0} KB",
             cfg.name,
             cfg.geometry,

@@ -144,7 +144,7 @@ pub const STUDIES: [Study; 28] = [
         name: "abl_edram",
         claim: "both eDRAM runs keep data",
         run: extension::edram,
-        pin: 0xc2a3_5af5_fd26_5a5b,
+        pin: 0x7740_5a19_107e_134a,
     },
     Study {
         name: "abl_32mb_stack",

@@ -442,3 +442,32 @@ fn figures_threads_and_csv_flags_run() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn figures_exits_quietly_when_the_reader_closes_stdout_early() {
+    // `smart-refresh figures all | head -n 1`: the reader takes one line
+    // and goes away while later corpora are still running, so the next
+    // figure is written to a closed pipe.
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = bin()
+        .args(["figures", "all", "--scale", "0.01"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut first = String::new();
+    {
+        let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+        reader.read_line(&mut first).expect("read the first line");
+    }
+    assert!(first.contains("Fig06"), "first line: {first:?}");
+    let out = child.wait_with_output().expect("wait");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert!(
+        out.status.success(),
+        "status {:?}, stderr: {err}",
+        out.status
+    );
+}
