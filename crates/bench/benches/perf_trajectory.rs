@@ -100,7 +100,7 @@ fn main() {
         );
         format!(
             "3 scenarios, {} vs {} UE rows",
-            r.undefended.ue_detected, r.defended.ue_detected
+            r.undefended.ctrl.ue_detected, r.defended.ctrl.ue_detected
         )
     });
     record(&mut entries, "campaign/hotchannel", || {

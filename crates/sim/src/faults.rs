@@ -18,11 +18,12 @@
 //! [`RetentionTracker`]: smartrefresh_dram::RetentionTracker
 
 use smartrefresh_core::{DegradationEvent, RefreshPolicy, SmartRefresh, SmartRefreshConfig};
-use smartrefresh_ctrl::{MemTransaction, MemoryController, SimError};
-use smartrefresh_dram::rng::Rng;
+use smartrefresh_ctrl::{ControllerStats, SimError};
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::{Geometry, ModuleConfig, RowAddr};
 use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec, FaultStats};
+
+use crate::kernel;
 
 /// What a scenario must demonstrate to pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,10 +108,9 @@ pub struct ScenarioOutcome {
     /// Deduplicated labels of the injected fault classes (see
     /// [`crate::report::fault_kind_label`]), in spec order.
     pub injected: Vec<&'static str>,
-    /// Refreshes the controller recorded as dropped.
-    pub refreshes_dropped: u64,
-    /// Refreshes the controller recorded as delayed.
-    pub refreshes_delayed: u64,
+    /// The controller's counters at the horizon (dropped and delayed
+    /// refreshes among them).
+    pub ctrl: ControllerStats,
     /// Every graceful-degradation episode the policy logged.
     pub degradations: Vec<DegradationEvent>,
     /// Restores the retention tracker flagged as past their deadline by
@@ -263,10 +263,8 @@ pub fn run_scenario(
         queue_capacity: scenario.queue_capacity,
         ..SmartRefreshConfig::paper_defaults()
     };
-    let policy = SmartRefresh::new(g, timing.retention, smart);
-    let device = crate::sanitize::device(g, timing);
-    let mut mc =
-        MemoryController::new(device, policy).with_fault_injector(scenario.injector.clone());
+    let mut mc = kernel::build(g, timing, SmartRefresh::new(g, timing.retention, smart))
+        .with_fault_injector(scenario.injector.clone());
 
     // Rows with an exact fault site are off-limits to the access stream:
     // an access restores the row's charge, which would mask the loss the
@@ -284,26 +282,15 @@ pub fn run_scenario(
             _ => None,
         })
         .collect();
-
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x5ce2_a210);
     let horizon = Instant::ZERO + cfg.horizon;
-    let mut now = Instant::ZERO;
-    loop {
-        now += cfg.access_gap;
-        if now > horizon {
-            break;
-        }
-        let flat = loop {
-            let candidate = rng.gen_range(0..g.total_rows() / 2);
-            if !excluded.contains(&candidate) {
-                break candidate;
-            }
-        };
-        let addr = addr_of(&g, g.unflatten(flat));
-        mc.access(MemTransaction::read(addr, now))?;
-    }
-    mc.advance_to(horizon)?;
-    mc.check_sanitizer(horizon)?;
+    let reads = kernel::stream(
+        g,
+        cfg.access_gap,
+        horizon,
+        cfg.seed ^ 0x5ce2_a210,
+        &excluded,
+    );
+    kernel::drain(&mut mc, reads, horizon)?;
 
     let tracker = mc.device().retention();
     let late: Vec<u64> = tracker
@@ -322,20 +309,18 @@ pub fn run_scenario(
         what: "fault injector missing after installation",
     })?;
     let events = mc.policy().degradation_events();
-    let mut injected: Vec<&'static str> = Vec::new();
-    for spec in scenario.injector.specs() {
-        let label = crate::report::fault_kind_label(&spec.kind);
-        if !injected.contains(&label) {
-            injected.push(label);
-        }
-    }
     Ok(ScenarioOutcome {
         name: scenario.name,
         expectation: scenario.expectation,
         faults: injector.stats(),
-        injected,
-        refreshes_dropped: mc.stats().refreshes_dropped,
-        refreshes_delayed: mc.stats().refreshes_delayed,
+        injected: crate::report::distinct(
+            scenario
+                .injector
+                .specs()
+                .iter()
+                .map(|spec| crate::report::fault_kind_label(&spec.kind)),
+        ),
+        ctrl: *mc.stats(),
         degradations: events.to_vec(),
         late_restores: late.len(),
         end_violations: violations.len(),
@@ -399,8 +384,7 @@ mod tests {
             expectation: Expectation::SafeDegradation,
             faults: FaultStats::default(),
             injected: Vec::new(),
-            refreshes_dropped: 0,
-            refreshes_delayed: 0,
+            ctrl: ControllerStats::default(),
             degradations: vec![DegradationEvent {
                 cause: smartrefresh_core::DegradeCause::QueueOverflow,
                 at: Instant::ZERO,

@@ -8,6 +8,9 @@
 //! * [`experiment::run_experiment`] — one workload × one module × one policy;
 //! * [`figures::Evaluation`] — the cached four-corpus sweep behind
 //!   Figs 6–18, with the paper's reference values embedded for comparison;
+//! * [`kernel`] — the single-channel run path (build, background stream,
+//!   drain to the horizon with the sanitizer's verdict) behind the fault,
+//!   scrub, power-down and rowhammer campaigns;
 //! * [`faults::run_campaign`] — the fault-injection campaign that attacks
 //!   the §4.3/§5 guarantees and checks detection + graceful degradation;
 //! * [`rfm::run_rfm_campaign`] — the rowhammer attack-vs-defense campaign:
@@ -29,8 +32,8 @@
 //!   demand pins a hot page open on every bank;
 //! * [`digest`] — deterministic FNV-1a state digests over run results,
 //!   the replay-verification currency of the fleet orchestrator;
-//! * [`report`] — text tables printed by the `smart-refresh` CLI and the
-//!   bench harness.
+//! * [`report`] — text tables printed by the `smart-refresh` CLI's
+//!   `figures`, `run` and `study` verbs.
 //!
 //! ```no_run
 //! use smartrefresh_sim::figures::{Evaluation, FigureId};
@@ -48,6 +51,7 @@ pub mod experiment;
 pub mod faults;
 pub mod figures;
 pub mod hotchannel;
+pub mod kernel;
 pub mod parallel;
 pub mod powerdown;
 pub mod report;
@@ -82,7 +86,7 @@ pub use powerdown::{
 };
 pub use rfm::{
     rfm_threshold_sweep, run_rfm_campaign, run_rfm_scenario, standard_rfm_campaign,
-    RfmCampaignConfig, RfmCampaignResult, RfmOutcome, RfmScenario, RfmSweepPoint,
+    RfmCampaignConfig, RfmCampaignResult, RfmOutcome, RfmScenario,
 };
 pub use scheduler::{AdaptiveScrubConfig, MaintenanceScheduler, SchedulerConfig, SchedulerStats};
 pub use scrub::{

@@ -16,23 +16,20 @@
 //!   every credited window bills a checkpoint/restore round trip.
 //!
 //! [`idle_sweep`] varies the access gap to show how the forfeited savings
-//! grow with idle fraction — the number an `abl_counter_power` bench run
-//! sweeps at full scale. `smart-refresh study powerdown` prints both
-//! tables and exits nonzero when any expectation fails.
+//! grow with idle fraction; the `abl_counter_power` study runs it on its
+//! own gaps. `smart-refresh study powerdown` prints both tables and exits
+//! nonzero when any expectation fails.
 
 use smartrefresh_core::{
     CounterPowerConfig, CounterPowerPolicy, DegradeCause, RefreshPolicy, SmartRefresh,
     SmartRefreshConfig,
 };
-use smartrefresh_ctrl::{
-    ControllerStats, EccConfig, MemTransaction, MemoryController, PowerDownConfig, ScrubConfig,
-    SimError, WatchdogConfig,
-};
-use smartrefresh_dram::rng::Rng;
+use smartrefresh_ctrl::{ControllerStats, EccConfig, ScrubConfig, SimError, WatchdogConfig};
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_energy::SramArrayModel;
 
-use crate::faults::{addr_of, CampaignConfig};
+use crate::faults::CampaignConfig;
+use crate::kernel;
 
 /// An honestly-priced persistent configuration for `geometry`: retention
 /// power is the Artisan-90nm leakage of the counter array
@@ -65,16 +62,10 @@ pub fn counter_power_energy(cfg: &CounterPowerConfig, stats: &ControllerStats) -
 pub struct PowerdownOutcome {
     /// Which counter power-state policy ran.
     pub policy: CounterPowerPolicy,
-    /// Row refreshes issued over the horizon.
-    pub refreshes_issued: u64,
-    /// CKE-low windows credited.
-    pub powerdown_windows: u64,
-    /// Accumulated power-down residency.
-    pub powerdown_time: Duration,
-    /// Counter entries force-zeroed on wake (conservative-reset only).
-    pub counters_reset_on_wake: u64,
-    /// Checkpoint/restore round trips (snapshot only).
-    pub counter_snapshots: u64,
+    /// The controller's counters at the horizon: refreshes issued,
+    /// CKE-low windows and residency, counters wiped on wake
+    /// (conservative-reset) and checkpoint round trips (snapshot).
+    pub ctrl: ControllerStats,
     /// Counter power-state energy, joules (see [`counter_power_energy`]).
     pub counter_power_j: f64,
     /// Rows whose retention deadline lapsed — must be zero in every mode.
@@ -120,14 +111,14 @@ impl PowerdownCampaignResult {
         };
         self.outcomes
             .iter()
-            .all(|o| o.decayed_rows == 0 && o.powerdown_windows > 0)
+            .all(|o| o.decayed_rows == 0 && o.ctrl.powerdown_windows > 0)
             && persistent.counter_power_j > 0.0
             && !persistent.degraded_by_power_loss
-            && reset.counters_reset_on_wake > 0
+            && reset.ctrl.counters_reset_on_wake > 0
             && reset.degraded_by_power_loss
-            && reset.refreshes_issued > persistent.refreshes_issued
-            && snapshot.refreshes_issued == persistent.refreshes_issued
-            && snapshot.counter_snapshots > 0
+            && reset.ctrl.refreshes_issued > persistent.ctrl.refreshes_issued
+            && snapshot.ctrl.refreshes_issued == persistent.ctrl.refreshes_issued
+            && snapshot.ctrl.counter_snapshots > 0
             && snapshot.counter_power_j > 0.0
             && !snapshot.degraded_by_power_loss
             && self.sweep.iter().all(IdleSweepPoint::holds)
@@ -166,26 +157,6 @@ impl IdleSweepPoint {
     }
 }
 
-fn controller(
-    cfg: &CampaignConfig,
-    counter_power: CounterPowerConfig,
-) -> Result<MemoryController<SmartRefresh>, SimError> {
-    let g = cfg.module.geometry;
-    let timing = cfg.module.timing;
-    let retention = timing.retention;
-    let policy = SmartRefresh::new(g, retention, SmartRefreshConfig::paper_defaults());
-    let device = crate::sanitize::device(g, timing);
-    // ECC with a covering patrol scrub and a retention-scaled watchdog so
-    // the conservative-reset wake path exercises both tighten hooks.
-    let ecc = EccConfig::new(cfg.seed)
-        .with_scrub(ScrubConfig::covering(retention, g.total_rows()))
-        .with_watchdog(WatchdogConfig::for_retention(retention));
-    Ok(MemoryController::new(device, policy)
-        .with_powerdown(Some(PowerDownConfig::default()))?
-        .with_counter_power(counter_power)
-        .with_ecc(ecc))
-}
-
 /// Runs the idle-heavy background workload under one counter power-state
 /// policy.
 ///
@@ -206,20 +177,20 @@ fn run_with_gap(
     access_gap: Duration,
 ) -> Result<PowerdownOutcome, SimError> {
     let g = cfg.module.geometry;
-    let mut mc = controller(cfg, counter_power)?;
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x90_da3e);
+    let timing = cfg.module.timing;
+    let retention = timing.retention;
+    let policy = SmartRefresh::new(g, retention, SmartRefreshConfig::paper_defaults());
+    // ECC with a covering patrol scrub and a retention-scaled watchdog so
+    // the conservative-reset wake path exercises both tighten hooks.
+    let ecc = EccConfig::new(cfg.seed)
+        .with_scrub(ScrubConfig::covering(retention, g.total_rows()))
+        .with_watchdog(WatchdogConfig::for_retention(retention));
+    let mut mc = kernel::build(g, timing, policy)
+        .with_counter_power(counter_power)
+        .with_ecc(ecc);
     let horizon = Instant::ZERO + cfg.horizon;
-    let mut now = Instant::ZERO;
-    loop {
-        now += access_gap;
-        if now > horizon {
-            break;
-        }
-        let flat = rng.gen_range(0..g.total_rows() / 2);
-        mc.access(MemTransaction::read(addr_of(&g, g.unflatten(flat)), now))?;
-    }
-    mc.advance_to(horizon)?;
-    mc.check_sanitizer(horizon)?;
+    let reads = kernel::stream(g, access_gap, horizon, cfg.seed ^ 0x90_da3e, &[]);
+    kernel::drain(&mut mc, reads, horizon)?;
 
     let stats = *mc.stats();
     let decayed_rows = mc
@@ -229,11 +200,7 @@ fn run_with_gap(
         .map_or(0, |rows| rows.len());
     Ok(PowerdownOutcome {
         policy: counter_power.policy,
-        refreshes_issued: stats.refreshes_issued,
-        powerdown_windows: stats.powerdown_windows,
-        powerdown_time: stats.powerdown_time,
-        counters_reset_on_wake: stats.counters_reset_on_wake,
-        counter_snapshots: stats.counter_snapshots,
+        ctrl: stats,
         counter_power_j: counter_power_energy(&counter_power, &stats),
         decayed_rows,
         degraded_by_power_loss: mc
@@ -262,10 +229,10 @@ pub fn idle_sweep(
             let r = run_with_gap(cfg, CounterPowerConfig::conservative_reset(), gap)?;
             Ok(IdleSweepPoint {
                 access_gap: gap,
-                idle_fraction: p.powerdown_time.as_secs_f64() / cfg.horizon.as_secs_f64(),
-                refreshes_persistent: p.refreshes_issued,
-                refreshes_reset: r.refreshes_issued,
-                windows: r.powerdown_windows,
+                idle_fraction: p.ctrl.powerdown_time.as_secs_f64() / cfg.horizon.as_secs_f64(),
+                refreshes_persistent: p.ctrl.refreshes_issued,
+                refreshes_reset: r.ctrl.refreshes_issued,
+                windows: r.ctrl.powerdown_windows,
             })
         })
         .collect()
@@ -306,7 +273,11 @@ mod tests {
         let result = run_powerdown_campaign(&cfg).expect("campaign runs clean");
         for o in &result.outcomes {
             assert_eq!(o.decayed_rows, 0, "{}: no row may decay", o.policy);
-            assert!(o.powerdown_windows > 0, "{}: idle gaps credited", o.policy);
+            assert!(
+                o.ctrl.powerdown_windows > 0,
+                "{}: idle gaps credited",
+                o.policy
+            );
         }
         assert!(result.all_hold(), "campaign contract: {result:?}");
         // Pin the rendered report text: a changed digit or line fails here.

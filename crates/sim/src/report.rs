@@ -1,8 +1,8 @@
 //! Text rendering for figures and run results.
 //!
-//! The bench harness prints each regenerated figure as a table with the
-//! paper's reference values alongside, so `cargo bench` output doubles as
-//! the EXPERIMENTS.md evidence.
+//! `smart-refresh figures` prints each regenerated figure as a table with
+//! the paper's reference values alongside, and `smart-refresh study`
+//! prints the campaign tables; that output is the EXPERIMENTS.md evidence.
 
 use std::fmt::Write as _;
 
@@ -46,6 +46,17 @@ pub fn degrade_cause_label(cause: &DegradeCause) -> &'static str {
         DegradeCause::CounterPowerLoss => "counter-power-loss",
         DegradeCause::DisturbanceStorm => "disturbance-storm",
     }
+}
+
+/// The distinct `labels`, in first-seen order.
+pub(crate) fn distinct(labels: impl IntoIterator<Item = &'static str>) -> Vec<&'static str> {
+    let mut seen = Vec::new();
+    for label in labels {
+        if !seen.contains(&label) {
+            seen.push(label);
+        }
+    }
+    seen
 }
 
 /// Renders a figure as an aligned text table with paper-vs-measured summary
@@ -134,8 +145,8 @@ pub fn render_campaign(c: &CampaignResult) -> String {
             "{:<18} {:<22} {:>7} {:>7} {:>6} {:>6} {:>6} {:>9} {:>7}",
             o.name,
             expectation,
-            o.refreshes_dropped,
-            o.refreshes_delayed,
+            o.ctrl.refreshes_dropped,
+            o.ctrl.refreshes_delayed,
             o.degradations.len(),
             o.late_restores,
             o.end_violations,
@@ -150,13 +161,7 @@ pub fn render_campaign(c: &CampaignResult) -> String {
         );
     }
     for o in &c.outcomes {
-        let mut causes: Vec<&'static str> = Vec::new();
-        for e in &o.degradations {
-            let label = degrade_cause_label(&e.cause);
-            if !causes.contains(&label) {
-                causes.push(label);
-            }
-        }
+        let causes = distinct(o.degradations.iter().map(|e| degrade_cause_label(&e.cause)));
         if !o.injected.is_empty() || !causes.is_empty() {
             let _ = writeln!(
                 out,
@@ -200,10 +205,10 @@ pub fn render_scrub_campaign(c: &ScrubCampaignResult) -> String {
             "{:<16} {:<22} {:>5} {:>5} {:>7} {:>7} {:>6} {:>6} {:>7}",
             o.name,
             expectation,
-            o.ce_corrected,
-            o.ue_detected,
-            o.scrubs_issued,
-            o.forced_scrubs,
+            o.ctrl.ce_corrected,
+            o.ctrl.ue_detected,
+            o.ctrl.scrubs_issued,
+            o.ctrl.forced_scrubs,
             o.watchdog_violations,
             o.degradations.len(),
             if o.holds() { "ok" } else { "FAILED" },
@@ -249,10 +254,10 @@ pub fn render_powerdown_campaign(c: &PowerdownCampaignResult) -> String {
             out,
             "{:<20} {:>9} {:>8} {:>7} {:>6} {:>12.3} {:>7} {:>6}",
             o.policy.as_str(),
-            o.refreshes_issued,
-            o.powerdown_windows,
-            o.counters_reset_on_wake,
-            o.counter_snapshots,
+            o.ctrl.refreshes_issued,
+            o.ctrl.powerdown_windows,
+            o.ctrl.counters_reset_on_wake,
+            o.ctrl.counter_snapshots,
             o.counter_power_j * 1e6,
             o.decayed_rows,
             if o.degraded_by_power_loss {
@@ -503,14 +508,14 @@ pub fn render_rfm(c: &RfmCampaignResult) -> String {
             out,
             "{:<18} {:>8} {:>6} {:>7} {:>7} {:>7} {:>6} {:>5} {:>5} {:>9.3} {:>9}",
             o.name,
-            o.acts,
-            o.rfm_commands,
-            o.rfm_row_refreshes,
-            o.backpressure_stalls,
+            o.ops.activates,
+            o.ctrl.rfm_commands,
+            o.ctrl.rfm_row_refreshes,
+            o.ctrl.rfm_backpressure_stalls,
             o.hammer_crossings,
             o.bits_flipped,
-            o.ce_corrected,
-            o.ue_detected,
+            o.ctrl.ce_corrected,
+            o.ctrl.ue_detected,
             o.rfm_j * 1e6,
             o.final_level.map_or("-", |l| match l {
                 smartrefresh_ctrl::RfmLevel::Normal => "normal",
@@ -523,13 +528,7 @@ pub fn render_rfm(c: &RfmCampaignResult) -> String {
     row(&mut out, &c.defended);
     row(&mut out, &c.exhaustion);
     for o in [&c.undefended, &c.defended, &c.exhaustion] {
-        let mut causes: Vec<&'static str> = Vec::new();
-        for e in &o.degradations {
-            let label = degrade_cause_label(&e.cause);
-            if !causes.contains(&label) {
-                causes.push(label);
-            }
-        }
+        let causes = distinct(o.degradations.iter().map(|e| degrade_cause_label(&e.cause)));
         if !causes.is_empty() {
             let _ = writeln!(
                 out,
@@ -543,9 +542,9 @@ pub fn render_rfm(c: &RfmCampaignResult) -> String {
     let _ = writeln!(
         out,
         "Defense: {} UE rows undefended vs {} defended ({} RFM commands, {:.3} uJ) [{}]",
-        c.undefended.ue_detected,
-        c.defended.ue_detected,
-        c.defended.rfm_commands,
+        c.undefended.ctrl.ue_detected,
+        c.defended.ctrl.ue_detected,
+        c.defended.ctrl.rfm_commands,
         c.defended.rfm_j * 1e6,
         if c.defense_holds() { "ok" } else { "FAILED" },
     );
@@ -573,7 +572,7 @@ pub fn render_rfm(c: &RfmCampaignResult) -> String {
     out
 }
 
-/// Renders a one-line summary of a run (for ablation benches).
+/// Renders a one-line summary of a run (`smart-refresh run` and `replay`).
 pub fn render_run(r: &RunResult) -> String {
     format!(
         "{:<16} {:<9} refreshes/s {:>12.0} | energy {:>9.3} mJ (refresh {:>8.3} mJ) | \
@@ -641,11 +640,13 @@ mod tests {
         use smartrefresh_dram::time::Duration;
         let outcome = |policy, refreshes, wipes, degraded| PowerdownOutcome {
             policy,
-            refreshes_issued: refreshes,
-            powerdown_windows: 10,
-            powerdown_time: Duration::from_us(900),
-            counters_reset_on_wake: wipes,
-            counter_snapshots: 0,
+            ctrl: smartrefresh_ctrl::ControllerStats {
+                refreshes_issued: refreshes,
+                powerdown_windows: 10,
+                powerdown_time: Duration::from_us(900),
+                counters_reset_on_wake: wipes,
+                ..Default::default()
+            },
             counter_power_j: 1.0e-9,
             decayed_rows: 0,
             degraded_by_power_loss: degraded,

@@ -26,16 +26,17 @@ use smartrefresh_core::{
     DegradationEvent, DegradeCause, RefreshPolicy, SmartRefresh, SmartRefreshConfig,
 };
 use smartrefresh_ctrl::{
-    EccConfig, MemTransaction, MemoryController, RfmConfig, RfmEngineStats, RfmLevel, ScrubConfig,
+    ControllerStats, EccConfig, MemTransaction, RfmConfig, RfmEngineStats, RfmLevel, ScrubConfig,
     SimError,
 };
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{Geometry, ModuleConfig, RowAddr};
+use smartrefresh_dram::{Geometry, ModuleConfig, OpStats, RowAddr};
 use smartrefresh_energy::DramPowerParams;
 use smartrefresh_faults::{FaultInjector, FaultSite};
 use smartrefresh_workloads::{HammerGenerator, HammerPattern, HammerSpec, TraceEvent};
 
 use crate::faults::addr_of;
+use crate::kernel;
 
 /// How the campaign drives the system.
 #[derive(Debug, Clone)]
@@ -93,22 +94,17 @@ pub struct RfmScenario {
 pub struct RfmOutcome {
     /// Scenario name.
     pub name: &'static str,
-    /// ACTIVATE commands the attack forced.
-    pub acts: u64,
-    /// RFM commands the engine issued (elective + mandatory).
-    pub rfm_commands: u64,
-    /// Victim rows those commands refreshed.
-    pub rfm_row_refreshes: u64,
-    /// ACTs stalled behind a mandatory RAAMMT refresh.
-    pub backpressure_stalls: u64,
+    /// The controller's counters at the end of the victim sweep: RFM
+    /// commands, victim rows they refreshed, ACTs stalled behind a
+    /// mandatory RAAMMT refresh, corrected and uncorrectable errors.
+    pub ctrl: ControllerStats,
+    /// The device's operation counts (the ACTIVATEs the attack forced
+    /// among them).
+    pub ops: OpStats,
     /// Disturbance threshold crossings the injector recorded.
     pub hammer_crossings: u64,
     /// Bits the injector actually flipped.
     pub bits_flipped: u64,
-    /// Corrected (single-bit) errors.
-    pub ce_corrected: u64,
-    /// Uncorrectable rows detected (counted once per row).
-    pub ue_detected: u64,
     /// Energy spent on RFM victim refreshes, joules.
     pub rfm_j: f64,
     /// Energy spent on regular refreshes over the run, joules.
@@ -148,9 +144,9 @@ impl RfmCampaignResult {
     /// 10×, and the undefended attack actually corrupted something (else
     /// the comparison is vacuous).
     pub fn defense_holds(&self) -> bool {
-        self.undefended.ue_detected >= 1
-            && self.defended.ue_detected * 10 <= self.undefended.ue_detected
-            && self.defended.rfm_commands > 0
+        self.undefended.ctrl.ue_detected >= 1
+            && self.defended.ctrl.ue_detected * 10 <= self.undefended.ctrl.ue_detected
+            && self.defended.ctrl.rfm_commands > 0
     }
 
     /// The graceful-degradation claim: the starved engine passed through
@@ -246,8 +242,7 @@ pub fn run_rfm_scenario(
     let g = cfg.module.geometry;
     let timing = cfg.module.timing;
     let policy = SmartRefresh::new(g, timing.retention, SmartRefreshConfig::paper_defaults());
-    let device = crate::sanitize::device(g, timing);
-    let mut mc = MemoryController::new(device, policy)
+    let mut mc = kernel::build(g, timing, policy)
         .with_ecc(
             EccConfig::new(cfg.seed)
                 .with_scrub(ScrubConfig::covering(cfg.scrub_period, g.total_rows())),
@@ -281,34 +276,26 @@ pub fn run_rfm_scenario(
         })
         .collect();
 
-    // K-way merge of the (infinite, monotone) hammer streams; ties break
-    // on stream index, so the interleave is deterministic.
+    // K-way merge of the (infinite, monotone) hammer streams up to the
+    // horizon; ties break on stream index, so the interleave is
+    // deterministic.
     let horizon = Instant::ZERO + cfg.horizon;
-    let mut pending: Vec<TraceEvent> = Vec::with_capacity(gens.len());
-    for gen in gens.iter_mut() {
-        pending.push(gen.next().ok_or(SimError::Internal {
-            what: "a hammer stream ended (streams are infinite by construction)",
-        })?);
-    }
-    while let Some((idx, event)) = pending
-        .iter()
-        .copied()
-        .enumerate()
-        .min_by_key(|(_, e)| e.time)
-    {
-        if event.time > horizon {
-            break;
-        }
-        mc.access(MemTransaction {
+    let mut pending: Vec<Option<TraceEvent>> = gens.iter_mut().map(Iterator::next).collect();
+    let attack = std::iter::from_fn(|| {
+        let (idx, event) = pending
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| e.map(|e| (i, e)))
+            .min_by_key(|(_, e)| e.time)
+            .filter(|(_, e)| e.time <= horizon)?;
+        pending[idx] = gens[idx].next();
+        Some(MemTransaction {
             addr: event.addr,
             is_write: event.is_write,
             arrival: event.time,
-        })?;
-        pending[idx] = gens[idx].next().ok_or(SimError::Internal {
-            what: "a hammer stream ended (streams are infinite by construction)",
-        })?;
-    }
-    mc.advance_to(horizon)?;
+        })
+    });
+    kernel::drain(&mut mc, attack, horizon)?;
 
     // Victim sweep: one demand read per victim row, so every accumulated
     // flip meets the SECDED decoder before the books close. A demand read
@@ -325,8 +312,7 @@ pub fn run_rfm_scenario(
     }
     mc.check_sanitizer(t)?;
 
-    let ops = mc.device().stats();
-    let stats = mc.stats();
+    let ops = *mc.device().stats();
     let injector = mc.fault_injector().ok_or(SimError::Internal {
         what: "fault injector missing after installation",
     })?;
@@ -336,14 +322,10 @@ pub fn run_rfm_scenario(
     };
     Ok(RfmOutcome {
         name: scenario.name,
-        acts: ops.activates,
-        rfm_commands: stats.rfm_commands,
-        rfm_row_refreshes: stats.rfm_row_refreshes,
-        backpressure_stalls: stats.rfm_backpressure_stalls,
+        ctrl: *mc.stats(),
+        ops,
         hammer_crossings: injector.stats().hammer_crossings,
         bits_flipped: injector.stats().disturbance_bits_flipped,
-        ce_corrected: stats.ce_corrected,
-        ue_detected: stats.ue_detected,
         rfm_j: ops.rfm_refreshes as f64 * cfg.power.e_refresh_row,
         refresh_j: ops.total_refreshes() as f64 * cfg.power.e_refresh_row,
         rfm_stats,
@@ -380,25 +362,10 @@ pub fn run_rfm_campaign(cfg: &RfmCampaignConfig) -> Result<RfmCampaignResult, Si
     })
 }
 
-/// One point of the RAAIMT ablation sweep: the defended double-sided
-/// scenario re-run at a given threshold.
-#[derive(Debug, Clone)]
-pub struct RfmSweepPoint {
-    /// The RAAIMT under test.
-    pub raaimt: u32,
-    /// Uncorrectable rows the attack still corrupted.
-    pub ue_detected: u64,
-    /// RFM commands the defense spent.
-    pub rfm_commands: u64,
-    /// Energy those victim refreshes cost, joules.
-    pub rfm_j: f64,
-    /// ACTs stalled behind mandatory RFMs.
-    pub backpressure_stalls: u64,
-}
-
 /// Sweeps the defended scenario across RAAIMT values, exposing the
 /// protection-vs-energy tradeoff: tight thresholds spend refresh energy,
-/// loose ones let flips through.
+/// loose ones let flips through. Each point is the RAAIMT and the
+/// scenario's outcome under it.
 ///
 /// # Errors
 ///
@@ -406,7 +373,7 @@ pub struct RfmSweepPoint {
 pub fn rfm_threshold_sweep(
     cfg: &RfmCampaignConfig,
     raaimts: &[u32],
-) -> Result<Vec<RfmSweepPoint>, SimError> {
+) -> Result<Vec<(u32, RfmOutcome)>, SimError> {
     let defended = standard_rfm_campaign(&cfg.module)
         .into_iter()
         .find(|s| s.rfm.is_some() && s.name == "defended")
@@ -422,14 +389,7 @@ pub fn rfm_threshold_sweep(
             rfm.raammt = raaimt.saturating_mul(3);
             rfm.act_ceiling = rfm.act_ceiling.max(rfm.raammt);
             scenario.rfm = Some(rfm);
-            let o = run_rfm_scenario(cfg, &scenario)?;
-            Ok(RfmSweepPoint {
-                raaimt,
-                ue_detected: o.ue_detected,
-                rfm_commands: o.rfm_commands,
-                rfm_j: o.rfm_j,
-                backpressure_stalls: o.backpressure_stalls,
-            })
+            Ok((raaimt, run_rfm_scenario(cfg, &scenario)?))
         })
         .collect()
 }

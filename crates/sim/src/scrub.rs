@@ -23,15 +23,16 @@ use smartrefresh_core::{
     DegradationEvent, DegradeCause, RefreshPolicy, SmartRefresh, SmartRefreshConfig,
 };
 use smartrefresh_ctrl::{
-    EccConfig, MemTransaction, MemoryController, ScrubConfig, SimError, WatchdogConfig,
+    ControllerStats, EccConfig, MemTransaction, MemoryController, ScrubConfig, SimError,
+    WatchdogConfig,
 };
-use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::RowAddr;
 use smartrefresh_energy::DramPowerParams;
 use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec};
 
 use crate::faults::{addr_of, CampaignConfig};
+use crate::kernel;
 
 /// What a scrub scenario must demonstrate to pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,14 +89,9 @@ pub struct ScrubOutcome {
     pub name: &'static str,
     /// What the scenario had to demonstrate.
     pub expectation: ScrubExpectation,
-    /// Corrected (single-bit) errors.
-    pub ce_corrected: u64,
-    /// Uncorrectable errors detected.
-    pub ue_detected: u64,
-    /// Patrol scrubs issued in deadline order.
-    pub scrubs_issued: u64,
-    /// Scrubs forced by the watchdog.
-    pub forced_scrubs: u64,
+    /// The controller's counters at the horizon (corrected and
+    /// uncorrectable errors, patrol and forced scrubs among them).
+    pub ctrl: ControllerStats,
     /// Watchdog violations recorded.
     pub watchdog_violations: usize,
     /// Every degradation episode the policy logged.
@@ -108,16 +104,16 @@ impl ScrubOutcome {
         let degraded_by = |cause: DegradeCause| self.degradations.iter().any(|e| e.cause == cause);
         match self.expectation {
             ScrubExpectation::CorrectsLatentFlips { min_ce } => {
-                self.ce_corrected >= min_ce && self.ue_detected == 0
+                self.ctrl.ce_corrected >= min_ce && self.ctrl.ue_detected == 0
             }
             ScrubExpectation::EscalatesUncorrectable => {
-                self.ue_detected >= 1 && degraded_by(DegradeCause::EccUncorrectable)
+                self.ctrl.ue_detected >= 1 && degraded_by(DegradeCause::EccUncorrectable)
             }
             ScrubExpectation::WatchdogIntervenes => {
-                self.forced_scrubs >= 1
+                self.ctrl.forced_scrubs >= 1
                     && self.watchdog_violations >= 1
                     && degraded_by(DegradeCause::RetentionWatchdog)
-                    && self.ue_detected == 0
+                    && self.ctrl.ue_detected == 0
             }
         }
     }
@@ -247,18 +243,35 @@ pub fn standard_scrub_campaign(cfg: &CampaignConfig) -> Vec<ScrubScenario> {
     ]
 }
 
-fn controller(
+/// Builds the scenario's controller (Smart Refresh, paper defaults) and
+/// drives it with `driver` to the horizon.
+fn drive(
     cfg: &CampaignConfig,
     injector: FaultInjector,
     ecc: EccConfig,
-) -> MemoryController<SmartRefresh> {
+    driver: Driver,
+) -> Result<MemoryController<SmartRefresh>, SimError> {
     let g = cfg.module.geometry;
     let timing = cfg.module.timing;
     let policy = SmartRefresh::new(g, timing.retention, SmartRefreshConfig::paper_defaults());
-    let device = crate::sanitize::device(g, timing);
-    MemoryController::new(device, policy)
+    let mut mc = kernel::build(g, timing, policy)
         .with_fault_injector(injector)
-        .with_ecc(ecc)
+        .with_ecc(ecc);
+    let horizon = Instant::ZERO + cfg.horizon;
+    match driver {
+        Driver::Background => {
+            let reads = kernel::stream(g, cfg.access_gap, horizon, cfg.seed ^ 0x5c2b_ca3e, &[]);
+            kernel::drain(&mut mc, reads, horizon)?;
+        }
+        Driver::Hammer { victim, period } => {
+            let addr = addr_of(&g, victim);
+            let reads = std::iter::successors(Some(Instant::ZERO + period), |&t| Some(t + period))
+                .take_while(|&t| t <= horizon)
+                .map(|t| MemTransaction::read(addr, t));
+            kernel::drain(&mut mc, reads, horizon)?;
+        }
+    }
+    Ok(mc)
 }
 
 /// Runs one scrub scenario.
@@ -272,45 +285,16 @@ pub fn run_scrub_scenario(
     cfg: &CampaignConfig,
     scenario: &ScrubScenario,
 ) -> Result<ScrubOutcome, SimError> {
-    let g = cfg.module.geometry;
-    let mut mc = controller(cfg, scenario.injector.clone(), scenario.ecc);
-    let horizon = Instant::ZERO + cfg.horizon;
-    match scenario.driver {
-        Driver::Background => {
-            let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x5c2b_ca3e);
-            let mut now = Instant::ZERO;
-            loop {
-                now += cfg.access_gap;
-                if now > horizon {
-                    break;
-                }
-                let flat = rng.gen_range(0..g.total_rows() / 2);
-                mc.access(MemTransaction::read(addr_of(&g, g.unflatten(flat)), now))?;
-            }
-        }
-        Driver::Hammer { victim, period } => {
-            let addr = addr_of(&g, victim);
-            let mut now = Instant::ZERO;
-            loop {
-                now += period;
-                if now > horizon {
-                    break;
-                }
-                mc.access(MemTransaction::read(addr, now))?;
-            }
-        }
-    }
-    mc.advance_to(horizon)?;
-    mc.check_sanitizer(horizon)?;
-
-    let stats = *mc.stats();
+    let mc = drive(
+        cfg,
+        scenario.injector.clone(),
+        scenario.ecc,
+        scenario.driver,
+    )?;
     Ok(ScrubOutcome {
         name: scenario.name,
         expectation: scenario.expectation,
-        ce_corrected: stats.ce_corrected,
-        ue_detected: stats.ue_detected,
-        scrubs_issued: stats.scrubs_issued,
-        forced_scrubs: stats.forced_scrubs,
+        ctrl: *mc.stats(),
         watchdog_violations: mc.watchdog().map_or(0, |w| w.violations().len()),
         degradations: mc.policy().degradation_events().to_vec(),
     })
@@ -336,20 +320,7 @@ pub fn scrub_savings(
         if let Some(s) = scrub {
             ecc = ecc.with_scrub(s);
         }
-        let mut mc = controller(cfg, FaultInjector::new(), ecc);
-        let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x5c2b_ca3e);
-        let horizon = Instant::ZERO + cfg.horizon;
-        let mut now = Instant::ZERO;
-        loop {
-            now += cfg.access_gap;
-            if now > horizon {
-                break;
-            }
-            let flat = rng.gen_range(0..g.total_rows() / 2);
-            mc.access(MemTransaction::read(addr_of(&g, g.unflatten(flat)), now))?;
-        }
-        mc.advance_to(horizon)?;
-        mc.check_sanitizer(horizon)?;
+        let mc = drive(cfg, FaultInjector::new(), ecc, Driver::Background)?;
         let ops = mc.device().stats();
         Ok((ops.total_refreshes(), ops.scrubs))
     };
@@ -399,19 +370,20 @@ mod tests {
         let base = ScrubOutcome {
             name: "x",
             expectation: ScrubExpectation::CorrectsLatentFlips { min_ce: 2 },
-            ce_corrected: 2,
-            ue_detected: 0,
-            scrubs_issued: 10,
-            forced_scrubs: 0,
+            ctrl: ControllerStats {
+                ce_corrected: 2,
+                scrubs_issued: 10,
+                ..Default::default()
+            },
             watchdog_violations: 0,
             degradations: Vec::new(),
         };
         assert!(base.holds());
         let mut short = base.clone();
-        short.ce_corrected = 1;
+        short.ctrl.ce_corrected = 1;
         assert!(!short.holds(), "a missed flip fails the scenario");
         let mut ue = base.clone();
-        ue.ue_detected = 1;
+        ue.ctrl.ue_detected = 1;
         assert!(!ue.holds(), "a UE in the correctable scenario fails it");
     }
 

@@ -13,7 +13,7 @@ use smartrefresh_ctrl::{
     SimError,
 };
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, ModuleConfig, OpStats};
+use smartrefresh_dram::{ModuleConfig, OpStats};
 use smartrefresh_faults::FaultInjector;
 
 use crate::experiment::PolicyKind;
@@ -99,15 +99,10 @@ impl MultiChannelSystem {
                 what: "the channel interleave must be a power of two bytes",
             });
         }
-        let sanitize = crate::sanitize::sanitize_from_env();
         let controllers = (0..channels)
             .map(|_| {
-                let mut device = DramDevice::new(module.geometry, module.timing);
-                if sanitize {
-                    device.enable_protocol_checker();
-                }
-                let policy = policy_of().build_boxed(&module);
-                MemoryController::new(device, policy)
+                let device = crate::sanitize::device(module.geometry, module.timing);
+                MemoryController::new(device, policy_of().build_boxed(&module))
             })
             .collect();
         Ok(MultiChannelSystem {

@@ -13,8 +13,9 @@
 //! retention(T) = 64 ms if T ≤ 85 °C else 32 ms
 //! ```
 //!
-//! and iterates to a fixed point. The `abl_thermal_feedback` bench runs the
-//! loop for the CBR baseline and Smart Refresh.
+//! and iterates to a fixed point. The `abl_thermal_feedback` study
+//! (`smart-refresh study abl_thermal_feedback`) runs the loop for the CBR
+//! baseline and Smart Refresh.
 
 use smartrefresh_dram::time::Duration;
 

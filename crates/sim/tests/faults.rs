@@ -45,8 +45,11 @@ fn queue_overflow_degrades_to_cbr_without_violations() {
 #[test]
 fn dropped_refresh_is_detected_by_the_tracker() {
     let o = run_scenario(&cfg(), &scenario_named("dropped-refresh")).unwrap();
-    assert!(o.refreshes_dropped >= 1, "the fault must actually fire");
-    assert_eq!(o.refreshes_dropped, o.faults.refreshes_dropped);
+    assert!(
+        o.ctrl.refreshes_dropped >= 1,
+        "the fault must actually fire"
+    );
+    assert_eq!(o.ctrl.refreshes_dropped, o.faults.refreshes_dropped);
     assert!(
         o.undetected_sites.is_empty(),
         "silent escape: {:?}",
@@ -94,8 +97,7 @@ fn campaign_is_deterministic_for_a_fixed_seed() {
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
         assert_eq!(x.name, y.name);
         assert_eq!(x.faults, y.faults);
-        assert_eq!(x.refreshes_dropped, y.refreshes_dropped);
-        assert_eq!(x.refreshes_delayed, y.refreshes_delayed);
+        assert_eq!(x.ctrl, y.ctrl);
         assert_eq!(x.degradations, y.degradations);
         assert_eq!(x.late_restores, y.late_restores);
         assert_eq!(x.end_violations, y.end_violations);

@@ -21,15 +21,15 @@ fn campaign(seed: u64) -> RfmCampaignResult {
 fn rfm_cuts_double_sided_ues_ten_fold() {
     let c = campaign(0xfa17_0002);
     assert!(
-        c.undefended.ue_detected >= 1,
+        c.undefended.ctrl.ue_detected >= 1,
         "the undefended attack must corrupt at least one row, got {}",
-        c.undefended.ue_detected
+        c.undefended.ctrl.ue_detected
     );
     assert!(
-        c.defended.ue_detected * 10 <= c.undefended.ue_detected,
+        c.defended.ctrl.ue_detected * 10 <= c.undefended.ctrl.ue_detected,
         "defense too weak: {} UEs defended vs {} undefended",
-        c.defended.ue_detected,
-        c.undefended.ue_detected
+        c.defended.ctrl.ue_detected,
+        c.undefended.ctrl.ue_detected
     );
     assert!(c.defense_holds());
 }
@@ -39,10 +39,10 @@ fn rfm_cuts_double_sided_ues_ten_fold() {
 #[test]
 fn defense_pays_for_itself_in_rfm_energy() {
     let c = campaign(0xfa17_0003);
-    assert!(c.defended.rfm_commands > 0);
-    assert!(c.defended.rfm_row_refreshes >= c.defended.rfm_commands);
+    assert!(c.defended.ctrl.rfm_commands > 0);
+    assert!(c.defended.ctrl.rfm_row_refreshes >= c.defended.ctrl.rfm_commands);
     assert!(c.defended.rfm_j > 0.0);
-    assert_eq!(c.undefended.rfm_commands, 0);
+    assert_eq!(c.undefended.ctrl.rfm_commands, 0);
     assert_eq!(c.undefended.rfm_j, 0.0);
 }
 
@@ -68,7 +68,7 @@ fn budget_exhaustion_storms_into_cbr_fallback() {
         e.degradations
     );
     assert!(
-        e.backpressure_stalls > 0,
+        e.ctrl.rfm_backpressure_stalls > 0,
         "RAAMMT must back-pressure the starved attack"
     );
     assert!(c.exhaustion_holds());
@@ -85,14 +85,10 @@ fn campaign_is_seed_deterministic() {
         (&a.defended, &b.defended),
         (&a.exhaustion, &b.exhaustion),
     ] {
-        assert_eq!(x.acts, y.acts);
-        assert_eq!(x.rfm_commands, y.rfm_commands);
-        assert_eq!(x.rfm_row_refreshes, y.rfm_row_refreshes);
-        assert_eq!(x.backpressure_stalls, y.backpressure_stalls);
+        assert_eq!(x.ctrl, y.ctrl);
+        assert_eq!(x.ops, y.ops);
         assert_eq!(x.hammer_crossings, y.hammer_crossings);
         assert_eq!(x.bits_flipped, y.bits_flipped);
-        assert_eq!(x.ce_corrected, y.ce_corrected);
-        assert_eq!(x.ue_detected, y.ue_detected);
         assert_eq!(x.degradations.len(), y.degradations.len());
         assert_eq!(x.rfm_stats, y.rfm_stats);
     }
@@ -115,18 +111,18 @@ fn report_digest(text: &str) -> u64 {
 fn threshold_sweep_trades_energy_for_protection() {
     let cfg = RfmCampaignConfig::quick(0xfa17_0006);
     let points = rfm_threshold_sweep(&cfg, &[16, 32, 128]).unwrap();
-    assert_eq!(points.len(), 3);
+    let raaimts: Vec<u32> = points.iter().map(|(r, _)| *r).collect();
+    assert_eq!(raaimts, [16, 32, 128]);
+    let [tight, mid, loose] = [0, 1, 2].map(|i| points[i].1.ctrl);
     assert!(
-        points[0].rfm_commands > points[2].rfm_commands,
-        "tighter RAAIMT must spend more RFMs: {:?}",
-        points
+        tight.rfm_commands > loose.rfm_commands,
+        "tighter RAAIMT must spend more RFMs: {tight:?} vs {loose:?}"
     );
     assert!(
-        points[0].ue_detected <= points[2].ue_detected,
-        "tighter RAAIMT must not protect less: {:?}",
-        points
+        tight.ue_detected <= loose.ue_detected,
+        "tighter RAAIMT must not protect less: {tight:?} vs {loose:?}"
     );
     // At RAAIMT 32 against the threshold-64 flip point the defense holds
     // outright.
-    assert_eq!(points[1].ue_detected, 0, "{:?}", points[1]);
+    assert_eq!(mid.ue_detected, 0, "{mid:?}");
 }

@@ -27,9 +27,9 @@ fn scenario_named(name: &str) -> ScrubScenario {
 #[test]
 fn patrol_walk_corrects_latent_flips() {
     let o = run_scrub_scenario(&cfg(), &scenario_named("latent-flips")).unwrap();
-    assert!(o.scrubs_issued > 0, "the walk must actually run");
-    assert!(o.ce_corrected >= 3, "one CE per injected flip: {o:?}");
-    assert_eq!(o.ue_detected, 0);
+    assert!(o.ctrl.scrubs_issued > 0, "the walk must actually run");
+    assert!(o.ctrl.ce_corrected >= 3, "one CE per injected flip: {o:?}");
+    assert_eq!(o.ctrl.ue_detected, 0);
     assert!(o.holds());
 }
 
@@ -39,7 +39,7 @@ fn patrol_walk_corrects_latent_flips() {
 #[test]
 fn double_flip_escalates_to_degradation() {
     let o = run_scrub_scenario(&cfg(), &scenario_named("double-flip-ue")).unwrap();
-    assert_eq!(o.ue_detected, 1, "one poisoned row, one UE: {o:?}");
+    assert_eq!(o.ctrl.ue_detected, 1, "one poisoned row, one UE: {o:?}");
     assert!(o
         .degradations
         .iter()
@@ -53,14 +53,17 @@ fn double_flip_escalates_to_degradation() {
 #[test]
 fn ce_storm_trips_the_watchdog() {
     let o = run_scrub_scenario(&cfg(), &scenario_named("watchdog-storm")).unwrap();
-    assert!(o.ce_corrected >= 2, "the storm must produce CEs: {o:?}");
-    assert!(o.forced_scrubs >= 1, "the watchdog must force a scrub");
+    assert!(
+        o.ctrl.ce_corrected >= 2,
+        "the storm must produce CEs: {o:?}"
+    );
+    assert!(o.ctrl.forced_scrubs >= 1, "the watchdog must force a scrub");
     assert!(o.watchdog_violations >= 1);
     assert!(o
         .degradations
         .iter()
         .any(|e| e.cause == DegradeCause::RetentionWatchdog));
-    assert_eq!(o.ue_detected, 0);
+    assert_eq!(o.ctrl.ue_detected, 0);
     assert!(o.holds());
 }
 
@@ -92,10 +95,7 @@ fn scrub_campaign_holds_and_is_deterministic() {
     let b = run_scrub_campaign(&cfg()).unwrap();
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
         assert_eq!(x.name, y.name);
-        assert_eq!(x.ce_corrected, y.ce_corrected);
-        assert_eq!(x.ue_detected, y.ue_detected);
-        assert_eq!(x.scrubs_issued, y.scrubs_issued);
-        assert_eq!(x.forced_scrubs, y.forced_scrubs);
+        assert_eq!(x.ctrl, y.ctrl);
         assert_eq!(x.degradations, y.degradations);
     }
     assert_eq!(

@@ -11,11 +11,11 @@ use crate::core::{
     SmartRefreshConfig,
 };
 use crate::cpu::{Cpu, CpuConfig, ProgramSpec, SyntheticProgram};
-use crate::ctrl::{MemoryController, SimError};
+use crate::ctrl::SimError;
 use crate::dram::configs::{conventional_2gb, edram_16mb, stacked_3d_32mb, stacked_3d_64mb};
 use crate::dram::profile::RetentionProfile;
 use crate::dram::time::{Duration, Instant};
-use crate::dram::{DramDevice, Geometry, Rng, TimingParams};
+use crate::dram::{Geometry, Rng, TimingParams};
 use crate::energy::{geometric_mean, BusEnergyModel, DramPowerParams};
 use crate::sim::coschedule::{run_coschedule_setup, CoscheduleConfig, Load, Setup};
 use crate::sim::experiment::run_experiment_with_events;
@@ -23,7 +23,7 @@ use crate::sim::powerdown::{idle_sweep, priced_persistent};
 use crate::sim::rfm::{rfm_threshold_sweep, RfmCampaignConfig};
 use crate::sim::system::MultiChannelSystem;
 use crate::sim::thermal::{ThermalModel, THRESHOLD_C};
-use crate::sim::{run_experiment, CampaignConfig, ExperimentConfig, PolicyKind, RunResult};
+use crate::sim::{kernel, run_experiment, CampaignConfig, ExperimentConfig, PolicyKind, RunResult};
 use crate::workloads::{find, idle_os, PhasedGenerator, WorkloadSpec};
 
 /// §8's orthogonality claim: Smart Refresh stacked on retention-aware
@@ -343,10 +343,13 @@ fn closed_loop_run<P: RefreshPolicy>(
 ) -> Result<ClosedLoop, SimError> {
     let g = Geometry::new(1, 4, 2048, 128, 64);
     let t = TimingParams::ddr2_667().with_retention(Duration::from_ms(2));
-    let mc = MemoryController::new(DramDevice::new(g, t), policy(g, t.retention));
-    let mut cpu = Cpu::new(CpuConfig::table1_default(), mc);
+    let mut cpu = Cpu::new(
+        CpuConfig::table1_default(),
+        kernel::build(g, t, policy(g, t.retention)),
+    );
     let mut prog = SyntheticProgram::new(spec.clone(), 0xBEEF);
     cpu.run(&mut prog, instructions)?;
+    cpu.controller().check_sanitizer(cpu.controller().now())?;
     let device = cpu.controller().device();
     let elapsed = cpu.now().as_secs_f64();
     Ok(ClosedLoop {
@@ -661,6 +664,7 @@ pub(super) fn multichannel(_threads: usize) -> Result<Report, SimError> {
         sys.access(addr, rng.gen_bool(0.3), now)?;
     }
     sys.advance_to(horizon)?;
+    sys.check_sanitizer(horizon)?;
 
     let mut out = Out::default();
     writeln!(
@@ -760,18 +764,18 @@ pub(super) fn rfm(_threads: usize) -> Result<Report, SimError> {
         "raaimt", "UE", "rfm cmds", "stalls", "rfm (uJ)"
     );
     let points = rfm_threshold_sweep(&cfg, &[8u32, 16, 32, 64, 128, 256])?;
-    for p in &points {
+    for (raaimt, o) in &points {
         writeln!(
             out,
             "{:<8} {:>6} {:>10} {:>10} {:>12.3}",
-            p.raaimt,
-            p.ue_detected,
-            p.rfm_commands,
-            p.backpressure_stalls,
-            p.rfm_j * 1e6
+            raaimt,
+            o.ctrl.ue_detected,
+            o.ctrl.rfm_commands,
+            o.ctrl.rfm_backpressure_stalls,
+            o.rfm_j * 1e6
         );
     }
-    let (Some(tightest), Some(loosest)) = (points.first(), points.last()) else {
+    let (Some((tight, tightest)), Some((loose, loosest))) = (points.first(), points.last()) else {
         return Err(SimError::Internal {
             what: "the RAAIMT sweep returned no points",
         });
@@ -779,13 +783,14 @@ pub(super) fn rfm(_threads: usize) -> Result<Report, SimError> {
     writeln!(
         out,
         "\nTradeoff: RAAIMT {} stops every UE at {:.3} uJ; RAAIMT {} leaks {} UEs at {:.3} uJ",
-        tightest.raaimt,
+        tight,
         tightest.rfm_j * 1e6,
-        loosest.raaimt,
-        loosest.ue_detected,
+        loose,
+        loosest.ctrl.ue_detected,
         loosest.rfm_j * 1e6
     );
-    let held =
-        tightest.ue_detected == 0 && loosest.ue_detected > 0 && tightest.rfm_j > loosest.rfm_j;
+    let held = tightest.ctrl.ue_detected == 0
+        && loosest.ctrl.ue_detected > 0
+        && tightest.rfm_j > loosest.rfm_j;
     Ok((out.0, held))
 }

@@ -3,13 +3,13 @@
 use super::{integrity, mini_module, mini_run, smart_no_hysteresis, synthetic, Out, Report};
 use crate::cache::{SetAssocCache, StackedDramCache};
 use crate::core::{RefreshAction, RefreshPolicy, SmartRefresh, SmartRefreshConfig};
-use crate::ctrl::{MemTransaction, MemoryController, SimError};
+use crate::ctrl::{MemTransaction, SimError};
 use crate::dram::configs::{conventional_2gb, conventional_4gb, stacked_3d_64mb};
 use crate::dram::time::{Duration, Instant};
-use crate::dram::{DramDevice, Geometry, Rng, RowAddr, TimingParams};
+use crate::dram::{Geometry, Rng, RowAddr, TimingParams};
 use crate::energy::bus::BusEnergyModel;
 use crate::energy::sram::area_overhead_kb;
-use crate::sim::{run_experiment, PolicyKind};
+use crate::sim::{kernel, run_experiment, PolicyKind};
 
 /// Table 1 (DRAM module and L2), Table 2 (3D DRAM cache), Table 3 (bus
 /// energy) and the §4.7 counter-area arithmetic.
@@ -129,20 +129,16 @@ pub(super) fn fig01_motivation(_threads: usize) -> Result<Report, SimError> {
         queue_capacity: 4,
         hysteresis: None,
     };
-    let policy = SmartRefresh::new(g, t.retention, cfg);
-    let mut mc = MemoryController::new(DramDevice::new(g, t), policy);
+    let mut mc = kernel::build(g, t, SmartRefresh::new(g, t.retention, cfg));
 
     // 750 us slots cycle all 8 rows every 6 ms, inside the 3-bit
     // counter's 7 ms countdown.
     let rounds = 10u64;
     let slot = Duration::from_us(750);
-    for i in 0..(8 * rounds) {
-        let row = i % 8;
-        let now = Instant::ZERO + slot * i;
-        mc.access(MemTransaction::read(row * g.row_bytes(), now))?;
-    }
+    let reads = (0..(8 * rounds))
+        .map(|i| MemTransaction::read((i % 8) * g.row_bytes(), Instant::ZERO + slot * i));
     let end = Instant::ZERO + slot * (8 * rounds);
-    mc.advance_to(end)?;
+    kernel::drain(&mut mc, reads, end)?;
 
     let refreshes = mc.device().stats().total_refreshes();
     // Periodic baseline: one refresh per row per 8 ms interval.
@@ -303,8 +299,7 @@ pub(super) fn fig04_correctness(_threads: usize) -> Result<Report, SimError> {
 
     let mut held = true;
     for seed in 0..8u64 {
-        let policy = SmartRefresh::new(g, retention, smart_no_hysteresis());
-        let mut mc = MemoryController::new(DramDevice::new(g, t), policy);
+        let mut mc = kernel::build(g, t, SmartRefresh::new(g, retention, smart_no_hysteresis()));
         let mut rng = Rng::seed_from_u64(seed);
         let mut now = Instant::ZERO;
         let mut max_staleness = Duration::ZERO;
@@ -317,7 +312,7 @@ pub(super) fn fig04_correctness(_threads: usize) -> Result<Report, SimError> {
             accesses += 1;
             max_staleness = max_staleness.max(mc.device().retention().max_staleness(mc.now()));
         }
-        mc.advance_to(horizon)?;
+        kernel::drain(&mut mc, [], horizon)?;
         max_staleness = max_staleness.max(mc.device().retention().max_staleness(horizon));
         let ok = max_staleness <= retention;
         held &= ok;
