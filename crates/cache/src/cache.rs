@@ -7,13 +7,16 @@
 //! DRAM behind it and *when* dirty lines come back.
 //!
 //! Line layout: each line is a raw tag word plus one state byte
-//! (`VALID | DIRTY`), both zero-initialised, so a fresh cache is two
-//! `alloc_zeroed` tables with no sentinel fill (fresh pages from the OS are
-//! not even touched until a line is). The validity bit cannot live inside
-//! the tag word: on the smallest legal shape (one set of 1 B lines) every
-//! `u64` address is its own tag, so any in-word sentinel would alias a real
-//! address. LRU stamps exist only when there is more than one way; a
-//! direct-mapped cache has no replacement choice to make.
+//! (`VALID | DIRTY`), both zero-initialised with no sentinel fill. The tag
+//! table is allocated on the first fill that stores a nonzero tag; until
+//! then every tag reads 0. A direct-mapped cache that only sees addresses
+//! below its capacity (the stacked L3 in front of a stack its size) stores
+//! only tag 0, so it never pays for the 8 B-per-line table. The
+//! validity bit cannot live inside the tag word: on the smallest legal
+//! shape (one set of 1 B lines) every `u64` address is its own tag, so any
+//! in-word sentinel would alias a real address. LRU stamps exist only when
+//! there is more than one way; a direct-mapped cache has no replacement
+//! choice to make.
 
 use crate::stats::CacheStats;
 
@@ -59,6 +62,8 @@ pub struct SetAssocCache {
     /// shift/mask instead of 64-bit div/mod on the per-access path.
     shifts: Option<(u8, u8)>,
     /// `tags[set * ways + way]`; meaningful only while the line is valid.
+    /// Empty until the first nonzero tag is stored: an empty table reads
+    /// tag 0 for every line.
     tags: Vec<u64>,
     /// `state[set * ways + way]`: [`VALID`] | [`DIRTY`]; zero = invalid.
     state: Vec<u8>,
@@ -106,7 +111,7 @@ impl SetAssocCache {
             ways,
             line_bytes,
             shifts,
-            tags: vec![0; n],
+            tags: Vec::new(),
             state: vec![0; n],
             stamps: if ways > 1 { vec![0; n] } else { Vec::new() },
             clock: 0,
@@ -163,6 +168,29 @@ impl SetAssocCache {
         (addr / self.line_bytes) / self.sets
     }
 
+    /// The tag stored in line `i` (0 while the tag table is unallocated).
+    #[inline]
+    fn tag_at(&self, i: usize) -> u64 {
+        if self.tags.is_empty() {
+            0
+        } else {
+            self.tags[i]
+        }
+    }
+
+    /// Stores `tag` in line `i`, allocating the tag table on the first
+    /// nonzero tag.
+    #[inline]
+    fn set_tag(&mut self, i: usize, tag: u64) {
+        if self.tags.is_empty() {
+            if tag == 0 {
+                return;
+            }
+            self.tags = vec![0; self.state.len()];
+        }
+        self.tags[i] = tag;
+    }
+
     /// Performs one access, allocating on miss (write-allocate) and
     /// returning any dirty victim.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheResponse {
@@ -175,7 +203,7 @@ impl SetAssocCache {
 
         // Hit path.
         for i in slots.clone() {
-            if self.tags[i] == tag && self.state[i] != 0 {
+            if self.tag_at(i) == tag && self.state[i] != 0 {
                 self.state[i] |= dirty;
                 self.touch(i);
                 self.stats.record(true, is_write, false);
@@ -203,8 +231,8 @@ impl SetAssocCache {
             }
         }
         let writeback =
-            (self.state[victim] & DIRTY != 0).then(|| self.rebuild_addr(self.tags[victim], set));
-        self.tags[victim] = tag;
+            (self.state[victim] & DIRTY != 0).then(|| self.rebuild_addr(self.tag_at(victim), set));
+        self.set_tag(victim, tag);
         self.state[victim] = VALID | dirty;
         self.touch(victim);
         self.stats.record(false, is_write, writeback.is_some());
@@ -229,7 +257,7 @@ impl SetAssocCache {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         let base = (set * self.ways as u64) as usize;
-        (base..base + self.ways).any(|i| self.tags[i] == tag && self.state[i] != 0)
+        (base..base + self.ways).any(|i| self.tag_at(i) == tag && self.state[i] != 0)
     }
 }
 
@@ -338,6 +366,65 @@ mod tests {
         assert!(!c.access(0, false).hit);
         let r = c.access(1, false); // evicts the dirty LRU line u64::MAX
         assert_eq!(r.writeback, Some(u64::MAX));
+    }
+
+    #[test]
+    fn tag_zero_stream_leaves_tag_table_unallocated() {
+        // Every address below `sets * line_bytes` (the whole capacity when
+        // direct-mapped) has tag 0.
+        for ways in [1, 8] {
+            let mut c = SetAssocCache::new(1 << 16, ways, 64);
+            let span = c.sets() * c.line_bytes();
+            for pass in 0..2 {
+                for addr in (0..span).step_by(40) {
+                    let r = c.access(addr, addr % 3 == 0);
+                    assert_eq!(r.hit, pass == 1 || addr % 64 >= 40, "{addr:#x}");
+                }
+            }
+            assert!(c.tags.is_empty(), "{ways} ways");
+            assert_eq!(c.stats().writebacks, 0);
+        }
+        let mut l3 = SetAssocCache::new(64 << 20, 1, 64);
+        l3.access((64 << 20) - 1, true);
+        assert!(l3.tags.is_empty());
+    }
+
+    #[test]
+    fn first_nonzero_tag_allocates_the_tag_table() {
+        let mut c = SetAssocCache::new(1 << 16, 8, 64);
+        c.access(0x40, true);
+        assert!(c.tags.is_empty());
+        c.access(1 << 16, false); // tag 1
+        assert_eq!(c.tags.len(), (1 << 16) / 64);
+        assert!(c.probe(0x40), "a tag-0 line filled before stays resident");
+        assert!(c.access(0x40, false).hit);
+        assert!(c.access(1 << 16, false).hit);
+    }
+
+    #[test]
+    fn dirty_tag_zero_line_is_written_back_by_a_nonzero_alias() {
+        // Direct-mapped: the alias one capacity up takes the only way.
+        let mut c = SetAssocCache::new(1 << 16, 1, 64);
+        c.access(0x1234, true);
+        let r = c.access(0x1234 + (1 << 16), false);
+        assert!(!r.hit);
+        assert_eq!(r.writeback, Some(0x1200));
+        assert!(!c.tags.is_empty());
+        assert!(!c.probe(0x1234));
+
+        // 8-way LRU: the tag-0 line is the LRU way when the eighth alias
+        // arrives, and only then is it written back.
+        let mut c = SetAssocCache::new(1 << 16, 8, 64);
+        let stride = c.sets() * c.line_bytes();
+        c.access(0x1234, true);
+        for k in 1..=7 {
+            let r = c.access(0x1234 + k * stride, false);
+            assert_eq!(r.writeback, None, "alias {k}");
+        }
+        assert!(c.probe(0x1234));
+        let r = c.access(0x1234 + 8 * stride, false);
+        assert_eq!(r.writeback, Some(0x1200));
+        assert!(!c.probe(0x1234));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use smartrefresh_cache::{SetAssocCache, StackedDramCache};
+use smartrefresh_cache::{CacheResponse, CacheStats, SetAssocCache, StackedDramCache};
 use smartrefresh_dram::rng::Rng;
 
 /// A trivially-correct reference cache: per-set vectors ordered by recency.
@@ -75,6 +75,65 @@ fn from_pool(pool: &[u64]) -> impl FnMut(&mut Rng) -> u64 + '_ {
     |rng| pool[rng.gen_range(0usize..pool.len())]
 }
 
+/// A stream that draws from `low` (addresses whose tag is 0) for its first
+/// `prefix` accesses and from `pool` after that.
+fn prefix_then_pool<'a>(
+    prefix: usize,
+    low: &'a [u64],
+    pool: &'a [u64],
+) -> impl FnMut(&mut Rng) -> u64 + 'a {
+    let mut drawn = 0;
+    move |rng| {
+        drawn += 1;
+        let from = if drawn <= prefix { low } else { pool };
+        from[rng.gen_range(0usize..from.len())]
+    }
+}
+
+/// Draws `low`, addresses below `span` (tag 0 when `span` is
+/// `sets * line`), and a pool over the whole address space holding `low`,
+/// aliases of it one to three spans up, and [`draw_pool`]'s addresses.
+fn draw_low_and_pool(rng: &mut Rng, span: u64) -> (Vec<u64>, Vec<u64>) {
+    let low: Vec<u64> = (0..24).map(|_| rng.gen_range(0..span)).collect();
+    let mut pool = low.clone();
+    for &a in &low {
+        pool.push(a.wrapping_add(span * rng.gen_range(1u64..4)));
+    }
+    pool.extend(draw_pool(rng, 16));
+    (low, pool)
+}
+
+/// A cache under test, seen through the outcome of each access.
+trait Dut {
+    fn access(&mut self, addr: u64, is_write: bool) -> CacheResponse;
+    fn stats(&self) -> &CacheStats;
+}
+
+impl Dut for SetAssocCache {
+    fn access(&mut self, addr: u64, is_write: bool) -> CacheResponse {
+        SetAssocCache::access(self, addr, is_write)
+    }
+    fn stats(&self) -> &CacheStats {
+        SetAssocCache::stats(self)
+    }
+}
+
+impl Dut for StackedDramCache {
+    fn access(&mut self, addr: u64, is_write: bool) -> CacheResponse {
+        let slot = self.slot_of(addr);
+        let t = StackedDramCache::access(self, addr, is_write);
+        assert_eq!(t.stacked_addr, slot, "stacked slot at {addr:#x}");
+        CacheResponse {
+            hit: t.memory_fill.is_none(),
+            writeback: t.memory_writeback,
+            fill: t.memory_fill,
+        }
+    }
+    fn stats(&self) -> &CacheStats {
+        StackedDramCache::stats(self)
+    }
+}
+
 /// Runs `n` accesses drawn by `draw` through a cache of the given shape
 /// and the reference model, asserting identical hits, fills, writebacks
 /// and statistics.
@@ -82,9 +141,20 @@ fn check_shape(
     rng: &mut Rng,
     (capacity, ways, line): (u64, usize, u64),
     n: usize,
+    draw: impl FnMut(&mut Rng) -> u64,
+) {
+    let dut = SetAssocCache::new(capacity, ways, line);
+    check_dut(rng, dut, (capacity, ways, line), n, draw);
+}
+
+/// [`check_shape`] over any cache under test of the given shape.
+fn check_dut(
+    rng: &mut Rng,
+    mut dut: impl Dut,
+    (capacity, ways, line): (u64, usize, u64),
+    n: usize,
     mut draw: impl FnMut(&mut Rng) -> u64,
 ) {
-    let mut dut = SetAssocCache::new(capacity, ways, line);
     let mut model = ModelCache::new(capacity, ways, line);
     let shape = format!("{capacity} B, {ways} ways, {line} B lines");
     for _ in 0..n {
@@ -140,6 +210,38 @@ fn cache_matches_reference_model() {
         pool.push(pool[i].wrapping_add(64 << 20));
     }
     check_shape(&mut rng, (64 << 20, 1, 64), 4000, from_pool(&pool));
+}
+
+/// Streams that use only tag 0 for a prefix (so the tag table is not yet
+/// allocated) and then span the whole address space, aliases of the
+/// prefix's lines included, agree with the reference model: dirty tag-0
+/// lines filled before the table exists are written back at their exact
+/// addresses.
+#[test]
+fn tag_zero_prefix_then_whole_pool_matches_reference_model() {
+    let mut rng = Rng::seed_from_u64(0xcac4_0005);
+    for &ways in &[1usize, 8] {
+        let shape = (64 * 64, ways, 64); // 64 lines
+        let span = 64 * 64 / ways as u64;
+        for _ in 0..12 {
+            let (low, pool) = draw_low_and_pool(&mut rng, span);
+            let prefix = rng.gen_range(1usize..200);
+            check_shape(&mut rng, shape, 600, prefix_then_pool(prefix, &low, &pool));
+        }
+    }
+    for capacity in [1u64 << 20, 64 << 20] {
+        for _ in 0..4 {
+            let (low, pool) = draw_low_and_pool(&mut rng, capacity);
+            let prefix = rng.gen_range(1usize..200);
+            check_dut(
+                &mut rng,
+                StackedDramCache::new(capacity),
+                (capacity, 1, 64),
+                600,
+                prefix_then_pool(prefix, &low, &pool),
+            );
+        }
+    }
 }
 
 /// probe() never disturbs state: interleaving probes changes nothing.
