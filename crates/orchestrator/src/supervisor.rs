@@ -2,11 +2,12 @@
 //!
 //! The supervisor advances the campaign in **epochs**. Each epoch it
 //! (A) settles time-based state — stall countdowns, the deadline watchdog,
-//! retry backoff expiry; (B) fans the ready cells out across a pool of
-//! `std::thread` workers pulling from a shared
+//! retry backoff expiry; (B) fans the ready cells out with
+//! [`smartrefresh_sim::par_map`]: the calling thread is worker 0 and
+//! spawns `workers - 1` scoped workers, all pulling from one shared
 //! [`smartrefresh_core::sync::WorkCursor`] (work stealing: a slow shard
 //! occupies one worker, never a whole static lane), each shard attempt
-//! wrapped in `catch_unwind`;
+//! wrapped in `catch_unwind`, so a one-worker fleet spawns no thread;
 //! (C) merges worker verdicts back into the checkpoint in cell order and
 //! writes the checkpoint atomically. Because every transition in (A) and
 //! (C) is a deterministic function of checkpointed state, and chaos
@@ -24,7 +25,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use smartrefresh_core::sync::WorkCursor;
 use smartrefresh_ctrl::SimError;
 use smartrefresh_dram::rng::Rng;
 
@@ -85,10 +85,6 @@ impl OrchestratorConfig {
     }
 }
 
-/// Verdicts collected by one worker: (cell index, prior attempt count,
-/// what happened).
-type WorkerVerdicts = Vec<(u64, u32, AttemptVerdict)>;
-
 /// What one launched shard attempt came back with.
 enum AttemptVerdict {
     /// Ran to completion.
@@ -118,9 +114,8 @@ struct WorkItem {
 /// # Errors
 ///
 /// [`SimError::Config`] for invalid configuration or an unwritable
-/// campaign directory; [`SimError::Internal`] if a worker thread cannot be
-/// joined (a harness bug, not a shard failure — shard failures are
-/// absorbed and retried, never propagated).
+/// campaign directory. Shard failures are absorbed and retried, never
+/// propagated.
 pub fn run_fleet(
     ckpt: &mut FleetCheckpoint,
     cfg: &OrchestratorConfig,
@@ -201,48 +196,19 @@ pub fn run_fleet(
             });
         }
 
-        // Phase B: fan the ready cells out across supervised workers. The
-        // workers pull from a shared atomic cursor (work stealing), so a
-        // shard that stalls or crashes ties up one worker while the rest
-        // drain the remaining cells — no cell waits behind a slow one it
-        // merely shared a static lane with. Completion order is free to
-        // vary; Phase C sorts by cell index before merging.
+        // Phase B: fan the ready cells out across supervised workers, the
+        // calling thread being worker 0. The workers pull from a shared
+        // atomic cursor (work stealing), so a shard that stalls or
+        // crashes ties up one worker while the rest drain the remaining
+        // cells — no cell waits behind a slow one it merely shared a
+        // static lane with. `par_map` returns the verdicts in `ready`'s
+        // order, which is cell order.
         let grid = &ckpt.grid;
-        let mut verdicts: WorkerVerdicts = Vec::with_capacity(ready.len());
-        if !ready.is_empty() {
-            let cursor = WorkCursor::new(ready.len());
-            let pool = cfg.workers.min(ready.len());
-            let joined: Result<Vec<WorkerVerdicts>, SimError> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..pool)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let queue = &ready;
-                        scope.spawn(move || {
-                            let mut out = WorkerVerdicts::new();
-                            while let Some(at) = cursor.claim() {
-                                out.push(run_attempt(grid, &queue[at]));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().map_err(|_| SimError::Internal {
-                            what: "orchestrator worker thread could not be joined",
-                        })
-                    })
-                    .collect()
-            });
-            for worker in joined? {
-                verdicts.extend(worker);
-            }
-        }
+        let verdicts =
+            smartrefresh_sim::par_map(cfg.workers, &ready, |_, item| run_attempt(grid, item));
 
         // Phase C: merge verdicts in cell order — the order is part of the
         // determinism contract, independent of worker interleaving.
-        verdicts.sort_by_key(|(index, _, _)| *index);
         for (index, prior_attempts, verdict) in verdicts {
             let i = index as usize;
             match verdict {
@@ -466,8 +432,9 @@ mod tests {
         )
         .expect("runs");
         assert_eq!(one.fleet_digest(), many.fleet_digest());
-        // More workers than ready cells: the stealing cursor drains the
-        // queue and the surplus threads are simply never spawned.
+        // More workers than ready cells: the caller is worker 0, one more
+        // worker is spawned per remaining ready cell, and the surplus
+        // threads are simply never spawned.
         let mut surplus = FleetCheckpoint::fresh(tiny_grid(), None);
         run_fleet(
             &mut surplus,
@@ -491,15 +458,22 @@ mod tests {
             stall_prob: 0.3,
             max_stall_epochs: 6,
         };
-        let run = || {
+        let run = |workers| {
             let mut ckpt = FleetCheckpoint::fresh(tiny_grid(), Some(chaos));
-            run_fleet(&mut ckpt, &quick_cfg(), None, |_| {}).expect("runs");
+            let cfg = OrchestratorConfig {
+                workers,
+                ..quick_cfg()
+            };
+            run_fleet(&mut ckpt, &cfg, None, |_| {}).expect("runs");
             ckpt
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.stats, b.stats, "chaos schedule must be reproducible");
-        assert_eq!(a.fleet_digest(), b.fleet_digest());
+        let a = run(2);
+        // One worker runs every attempt, injected crashes included, on
+        // the calling thread; the schedule must not notice.
+        for b in [run(2), run(1)] {
+            assert_eq!(a.stats, b.stats, "chaos schedule must be reproducible");
+            assert_eq!(a.fleet_digest(), b.fleet_digest());
+        }
         assert!(
             a.stats.panics > 0 || a.stats.stalls > 0,
             "chaos at these rates must inject something: {:?}",

@@ -355,36 +355,21 @@ impl Evaluation {
     ///
     /// Propagates simulator errors (controller bugs — never expected).
     pub fn corpus(&mut self, id: CorpusId) -> Result<&[BenchPair], SimError> {
-        let slot = match id {
+        let pairs = match self.slot(id).take() {
+            Some(pairs) => pairs,
+            None => self.run_corpus(id)?,
+        };
+        Ok(self.slot(id).insert(pairs))
+    }
+
+    /// The cache slot of corpus `id`.
+    fn slot(&mut self, id: CorpusId) -> &mut Option<Vec<BenchPair>> {
+        match id {
             CorpusId::Conv2Gb => &mut self.conv2,
             CorpusId::Conv4Gb => &mut self.conv4,
             CorpusId::Stacked64Ms => &mut self.s64,
             CorpusId::Stacked32Ms => &mut self.s32,
-        };
-        if slot.is_none() {
-            let pairs = match id {
-                CorpusId::Conv2Gb => self.run_corpus(CorpusId::Conv2Gb)?,
-                CorpusId::Conv4Gb => self.run_corpus(CorpusId::Conv4Gb)?,
-                CorpusId::Stacked64Ms => self.run_corpus(CorpusId::Stacked64Ms)?,
-                CorpusId::Stacked32Ms => self.run_corpus(CorpusId::Stacked32Ms)?,
-            };
-            let slot = match id {
-                CorpusId::Conv2Gb => &mut self.conv2,
-                CorpusId::Conv4Gb => &mut self.conv4,
-                CorpusId::Stacked64Ms => &mut self.s64,
-                CorpusId::Stacked32Ms => &mut self.s32,
-            };
-            *slot = Some(pairs);
         }
-        let slot = match id {
-            CorpusId::Conv2Gb => &self.conv2,
-            CorpusId::Conv4Gb => &self.conv4,
-            CorpusId::Stacked64Ms => &self.s64,
-            CorpusId::Stacked32Ms => &self.s32,
-        };
-        slot.as_ref().map(Vec::as_slice).ok_or(SimError::Internal {
-            what: "figure corpus cache slot empty after population",
-        })
     }
 
     /// Regenerates one figure.

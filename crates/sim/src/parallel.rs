@@ -3,9 +3,11 @@
 //! Every parallel path in the simulator is a *sharded map with an ordered
 //! merge*: independent work items (figure-corpus experiments, campaign
 //! scenarios, the channels of a [`MultiChannelSystem`]) fan out across
-//! [`std::thread::scope`] workers pulling from a shared
-//! [`smartrefresh_core::sync::WorkCursor`], and the
-//! results are merged **by item index**, never by completion order. Each
+//! workers pulling from a shared [`smartrefresh_core::sync::WorkCursor`],
+//! and the results are merged **by item index**, never by completion
+//! order. The calling thread is worker 0: it spawns `threads - 1`
+//! [`std::thread::scope`] workers and runs its own share before joining
+//! them, so no thread sits idle in `join`. Each
 //! item's computation is already deterministic on its own (seeded PRNGs,
 //! integer simulated time, no wall-clock reads), so the merge order is
 //! the only place thread interleaving could leak into results — and the
@@ -68,17 +70,18 @@ pub fn resolve_threads(explicit: Option<&str>) -> Result<usize, SimError> {
     }
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers and returns
-/// the results **in item order**, regardless of which worker finished
-/// which item when. Workers pull from a shared
-/// [`WorkCursor`] (work stealing),
-/// so a slow item occupies one worker while the rest drain the queue.
-/// With `threads <= 1` (or fewer than two items) this is a plain
-/// sequential map — the reference the parallel path must be
-/// bit-identical to.
+/// Maps `f` over `items` on up to `threads` workers and returns the
+/// results **in item order**, regardless of which worker finished which
+/// item when. The calling thread is worker 0: it spawns `threads - 1`
+/// scoped workers, then drains the same shared [`WorkCursor`] itself
+/// (work stealing), so a slow item occupies one worker while the rest
+/// drain the queue. With `threads <= 1` (or fewer than two items) this
+/// is a plain sequential map — the reference the parallel path must be
+/// bit-identical to — and no thread is spawned.
 ///
-/// A panicking item propagates its panic to the caller after the other
-/// workers drain, exactly as the sequential map would.
+/// A panicking item, the caller's own included, propagates its panic to
+/// the caller after the other workers drain, exactly as the sequential
+/// map would.
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -90,41 +93,22 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let cursor = WorkCursor::new(n);
-    let workers = threads.min(n);
-    let shards: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    while let Some(i) = cursor.claim() {
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(shard) => shard,
-                Err(cause) => std::panic::resume_unwind(cause),
-            })
-            .collect()
-    });
-    let mut merged: Vec<(usize, R)> = shards.into_iter().flatten().collect();
-    merged.sort_by_key(|&(i, _)| i);
-    assert!(merged.len() == n, "sharded map lost an item");
-    merged.into_iter().map(|(_, r)| r).collect()
+    let drain = || {
+        let mut out = Vec::new();
+        while let Some(i) = cursor.claim() {
+            out.push((i, f(i, &items[i])));
+        }
+        out
+    };
+    run_shards(n, vec![drain; threads.min(n)])
 }
 
 /// The in-place variant: maps `f` over disjoint `&mut` items, sharded as
-/// contiguous chunks across up to `threads` scoped workers, returning
-/// per-item results in item order. Used to advance the channels of a
-/// multi-channel system concurrently — each channel is an independent
-/// simulation between coordination points, so chunked exclusive access
-/// is enough and no locking is involved.
+/// contiguous chunks across up to `threads` workers, returning per-item
+/// results in item order. The calling thread runs chunk 0 itself. Used
+/// to advance the channels of a multi-channel system concurrently — each
+/// channel is an independent simulation between coordination points, so
+/// chunked exclusive access is enough and no locking is involved.
 pub fn par_map_mut<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
@@ -135,35 +119,42 @@ where
     if threads <= 1 || n <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    let shards: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, chunk_items)| {
-                let f = &f;
-                scope.spawn(move || {
-                    chunk_items
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(j, t)| {
-                            let i = ci * chunk + j;
-                            (i, f(i, t))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(shard) => shard,
-                Err(cause) => std::panic::resume_unwind(cause),
-            })
-            .collect()
+    let chunk = n.div_ceil(threads.min(n));
+    let f = &f;
+    let shards = items.chunks_mut(chunk).enumerate().map(|(ci, part)| {
+        move || {
+            (ci * chunk..)
+                .zip(part)
+                .map(|(i, t)| (i, f(i, t)))
+                .collect()
+        }
     });
-    let mut merged: Vec<(usize, R)> = shards.into_iter().flatten().collect();
+    run_shards(n, shards.collect())
+}
+
+/// The one spawn/join/merge core under both maps. `shards[0]` runs on
+/// the calling thread (worker 0) after every other shard has been
+/// spawned on its own scoped worker; the `(index, result)` pairs are then
+/// merged by index. A panic in any shard — the caller's included — is
+/// re-raised only after every worker has been joined.
+fn run_shards<R, S>(n: usize, shards: Vec<S>) -> Vec<R>
+where
+    R: Send,
+    S: FnOnce() -> Vec<(usize, R)> + Send,
+{
+    let mut merged = std::thread::scope(|scope| {
+        let mut shards = shards.into_iter();
+        let own = shards.next();
+        let handles: Vec<_> = shards.map(|shard| scope.spawn(shard)).collect();
+        let mut merged = own.map_or_else(Vec::new, |shard| shard());
+        for handle in handles {
+            match handle.join() {
+                Ok(shard) => merged.extend(shard),
+                Err(cause) => std::panic::resume_unwind(cause),
+            }
+        }
+        merged
+    });
     merged.sort_by_key(|&(i, _)| i);
     assert!(merged.len() == n, "sharded map lost an item");
     merged.into_iter().map(|(_, r)| r).collect()
@@ -211,6 +202,54 @@ mod tests {
     fn more_threads_than_items_is_fine() {
         let items: Vec<u32> = (0..3).collect();
         assert_eq!(par_map(64, &items, |_, &x| x + 1), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn caller_is_worker_zero_and_nothing_extra_is_spawned() {
+        // Each item blocks until the other is in flight, so two items at
+        // two threads must run on two distinct threads at once.
+        let caller = std::thread::current().id();
+        let gate = std::sync::Barrier::new(2);
+        let ids = par_map(2, &[0, 1], |_, _| {
+            gate.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&caller), "the caller must drain a share");
+
+        let mut slots = [0u8; 2];
+        let ids = par_map_mut(2, &mut slots, |_, _| {
+            gate.wait();
+            std::thread::current().id()
+        });
+        assert_eq!(ids[0], caller, "the caller runs chunk 0");
+        assert_ne!(ids[1], caller);
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_waits_for_the_other_worker() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let caller = std::thread::current().id();
+        let gate = std::sync::Barrier::new(2);
+        let drained = AtomicBool::new(false);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(2, &[0, 1], |_, _| {
+                gate.wait();
+                if std::thread::current().id() == caller {
+                    panic!("caller's item");
+                }
+                for _ in 0..1000 {
+                    std::thread::yield_now();
+                }
+                drained.store(true, Ordering::SeqCst);
+            })
+        }));
+        let cause = outcome.expect_err("the caller's panic must propagate");
+        assert_eq!(cause.downcast_ref::<&str>(), Some(&"caller's item"));
+        assert!(
+            drained.load(Ordering::SeqCst),
+            "the other worker must drain before the panic leaves par_map"
+        );
     }
 
     #[test]
