@@ -34,17 +34,18 @@ pub struct Geometry {
     columns: u32,
     /// Width of the *data* portion of the bus in bits (excludes ECC).
     data_bits: u32,
-    /// Shift widths for the all-power-of-two fast path of [`decode`], which
-    /// runs once per demand access: `log2` of (column bytes, columns, banks,
-    /// ranks) when every one of those dimensions is a power of two, else
-    /// `None` (the general div/mod path). Derived from the dimensions above,
-    /// so the extra field never changes equality or hashing semantics.
+    /// The address layout for the inlined fast path of [`decode`], which
+    /// runs once per demand access: `Some` when every interleave dimension
+    /// (column bytes, columns, banks, ranks, rows) is a power of two and
+    /// the capacity fits in 63 address bits, else `None` (the out-of-line
+    /// div/mod path). Derived from the dimensions above, so the extra field
+    /// never changes equality or hashing semantics.
     ///
     /// [`decode`]: Geometry::decode
-    shifts: Option<(u8, u8, u8, u8)>,
+    addr_bits: Option<AddrBits>,
     /// Shift widths for the power-of-two fast path of [`unflatten`]:
     /// `log2` of (rows, banks) when both are powers of two, else `None`.
-    /// Derived like `shifts`.
+    /// Derived like `addr_bits`.
     ///
     /// [`unflatten`]: Geometry::unflatten
     flat_shifts: Option<(u8, u8)>,
@@ -66,20 +67,7 @@ impl Geometry {
             "data_bits must be a nonzero multiple of 8"
         );
         let col_bytes = u64::from(data_bits) / 8;
-        let shifts = if col_bytes.is_power_of_two()
-            && columns.is_power_of_two()
-            && banks.is_power_of_two()
-            && ranks.is_power_of_two()
-        {
-            Some((
-                col_bytes.trailing_zeros() as u8,
-                columns.trailing_zeros() as u8,
-                banks.trailing_zeros() as u8,
-                ranks.trailing_zeros() as u8,
-            ))
-        } else {
-            None
-        };
+        let addr_bits = AddrBits::of(col_bytes, columns, banks, ranks, rows);
         let flat_shifts = (rows.is_power_of_two() && banks.is_power_of_two())
             .then(|| (rows.trailing_zeros() as u8, banks.trailing_zeros() as u8));
         Geometry {
@@ -88,7 +76,7 @@ impl Geometry {
             rows,
             columns,
             data_bits,
-            shifts,
+            addr_bits,
             flat_shifts,
         }
     }
@@ -146,7 +134,8 @@ impl Geometry {
         self.ranks * self.banks
     }
 
-    /// Maps a physical byte address to its `(rank, bank, row, column)`.
+    /// Maps a physical byte address to its `(rank, bank, row, column)`,
+    /// with the row's flat bank index and flat row index alongside.
     ///
     /// The mapping interleaves consecutive column-sized blocks across columns,
     /// then banks, then ranks, then rows — the usual open-page-friendly layout
@@ -155,31 +144,38 @@ impl Geometry {
     ///
     /// Addresses beyond the capacity wrap (callers model virtual→physical
     /// placement separately).
-    #[inline]
+    ///
+    /// Runs once per demand access. The all-power-of-two shape (every
+    /// shipped module config) is a handful of shifts and masks, always
+    /// inlined so the result stays in registers; any other shape takes
+    /// the out-of-line div/mod path.
+    #[inline(always)]
     pub fn decode(&self, addr: u64) -> DecodedAddr {
-        if let Some((cb, cols, banks, ranks)) = self.shifts {
-            // All interleave dimensions are powers of two (every shipped
-            // module config): shift/mask instead of eight div/mod ops.
-            let blocks = addr >> cb;
-            let column = (blocks & ((1 << cols) - 1)) as u32;
-            let after_col = blocks >> cols;
-            let bank = (after_col & ((1 << banks) - 1)) as u32;
-            let after_bank = after_col >> banks;
-            let rank = (after_bank & ((1 << ranks) - 1)) as u32;
-            let after_rank = after_bank >> ranks;
-            // `flat_shifts` holds log2(rows) whenever rows (and banks) are
-            // powers of two, which makes the wrap a mask.
-            let row = match self.flat_shifts {
-                Some((rows, _)) => (after_rank & ((1 << rows) - 1)) as u32,
-                None => (after_rank % u64::from(self.rows)) as u32,
-            };
-            return DecodedAddr {
-                row_addr: RowAddr { rank, bank, row },
-                column,
-            };
+        let Some(b) = self.addr_bits else {
+            return self.decode_div_mod(addr);
+        };
+        // Three independent field extractions, no dependency chain.
+        let column = (addr >> b.column_shift) as u32 & b.column_mask;
+        let bank_index = (addr >> b.bank_shift) as u32 & b.bank_index_mask;
+        let row = (addr >> b.row_shift) as u32 & b.row_mask;
+        DecodedAddr {
+            row_addr: RowAddr {
+                rank: bank_index >> b.banks,
+                bank: bank_index & b.bank_mask,
+                row,
+            },
+            column,
+            bank_index,
+            flat: (u64::from(bank_index) << b.rows) | u64::from(row),
         }
-        let col_unit = self.column_bytes();
-        let blocks = addr / col_unit;
+    }
+
+    /// [`decode`](Self::decode) for a shape with a dimension that is not a
+    /// power of two.
+    #[cold]
+    #[inline(never)]
+    fn decode_div_mod(&self, addr: u64) -> DecodedAddr {
+        let blocks = addr / self.column_bytes();
         let column = (blocks % u64::from(self.columns)) as u32;
         let after_col = blocks / u64::from(self.columns);
         let bank = (after_col % u64::from(self.banks)) as u32;
@@ -187,9 +183,12 @@ impl Geometry {
         let rank = (after_bank % u64::from(self.ranks)) as u32;
         let after_rank = after_bank / u64::from(self.ranks);
         let row = (after_rank % u64::from(self.rows)) as u32;
+        let bank_index = rank * self.banks + bank;
         DecodedAddr {
             row_addr: RowAddr { rank, bank, row },
             column,
+            bank_index,
+            flat: u64::from(bank_index) * u64::from(self.rows) + u64::from(row),
         }
     }
 
@@ -261,6 +260,61 @@ impl fmt::Display for Geometry {
     }
 }
 
+/// Where each field of a physical address sits on an all-power-of-two
+/// shape: from the bottom, the byte within a column, the column, the bank,
+/// the rank, then the row. Bank and rank are adjacent, so one field holds
+/// the flat bank index `rank * banks + bank`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct AddrBits {
+    column_shift: u8,
+    bank_shift: u8,
+    row_shift: u8,
+    /// `log2(banks)`: splits the flat bank index into rank and bank.
+    banks: u8,
+    /// `log2(rows)`: joins the flat bank index and the row into the flat row.
+    rows: u8,
+    column_mask: u32,
+    bank_index_mask: u32,
+    bank_mask: u32,
+    row_mask: u32,
+}
+
+impl AddrBits {
+    /// The layout of a shape, or `None` unless every dimension is a power
+    /// of two, the flat bank index fits in 31 bits and every address bit
+    /// above the row is a wrap (capacity at most 2^63 bytes).
+    fn of(col_bytes: u64, columns: u32, banks: u32, ranks: u32, rows: u32) -> Option<Self> {
+        if !(col_bytes.is_power_of_two()
+            && columns.is_power_of_two()
+            && banks.is_power_of_two()
+            && ranks.is_power_of_two()
+            && rows.is_power_of_two())
+        {
+            return None;
+        }
+        let log2 = |n: u32| n.trailing_zeros();
+        let column_shift = col_bytes.trailing_zeros();
+        let bank_shift = column_shift + log2(columns);
+        let bank_bits = log2(banks) + log2(ranks);
+        let row_shift = bank_shift + bank_bits;
+        if bank_bits > 31 || row_shift + log2(rows) > 63 {
+            return None;
+        }
+        let mask = |bits: u32| (1u32 << bits) - 1;
+        Some(AddrBits {
+            column_shift: column_shift as u8,
+            bank_shift: bank_shift as u8,
+            row_shift: row_shift as u8,
+            banks: log2(banks) as u8,
+            rows: log2(rows) as u8,
+            column_mask: columns - 1,
+            bank_index_mask: mask(bank_bits),
+            bank_mask: banks - 1,
+            row_mask: rows - 1,
+        })
+    }
+}
+
 /// A `(rank, bank, row)` triple — the granularity of one refresh operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowAddr {
@@ -278,13 +332,18 @@ impl fmt::Display for RowAddr {
     }
 }
 
-/// Result of decoding a physical address: the row triple plus the column.
+/// Result of decoding a physical address: the row triple plus the column,
+/// and the dense indices the triple resolves to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecodedAddr {
     /// The `(rank, bank, row)` this address falls in.
     pub row_addr: RowAddr,
     /// Column within the row.
     pub column: u32,
+    /// [`Geometry::bank_index`] of the row's `(rank, bank)`.
+    pub bank_index: u32,
+    /// [`Geometry::flatten`] of the row.
+    pub flat: u64,
 }
 
 #[cfg(test)]
@@ -332,8 +391,11 @@ mod tests {
         }
     }
 
-    /// `decode`'s shift/mask paths equal the div/mod mapping, wrap past
-    /// the capacity included, with and without a power-of-two row count.
+    /// `decode` equals the div/mod mapping, wrap past the capacity
+    /// included, on the inlined shift path (two power-of-two shapes) and
+    /// the out-of-line path (a row count, and a rank, bank and column
+    /// count, that are not powers of two); its bank index and flat row
+    /// are `bank_index` and `flatten` of that mapping.
     #[test]
     fn decode_matches_the_div_mod_mapping() {
         for g in [
@@ -350,13 +412,16 @@ mod tests {
                 let cols = u64::from(g.columns());
                 let banks = u64::from(g.banks());
                 let ranks = u64::from(g.ranks());
+                let row_addr = RowAddr {
+                    rank: (blocks / cols / banks % ranks) as u32,
+                    bank: (blocks / cols % banks) as u32,
+                    row: (blocks / cols / banks / ranks % u64::from(g.rows())) as u32,
+                };
                 let want = DecodedAddr {
-                    row_addr: RowAddr {
-                        rank: (blocks / cols / banks % ranks) as u32,
-                        bank: (blocks / cols % banks) as u32,
-                        row: (blocks / cols / banks / ranks % u64::from(g.rows())) as u32,
-                    },
+                    row_addr,
                     column: (blocks % cols) as u32,
+                    bank_index: g.bank_index(row_addr.rank, row_addr.bank),
+                    flat: g.flatten(row_addr),
                 };
                 assert_eq!(g.decode(addr), want, "{g} at {addr:#x}");
             }

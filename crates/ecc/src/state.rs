@@ -83,11 +83,18 @@ impl EccMemory {
     /// `decode(encode(data))` is known without running it. Only a row
     /// carrying flips pays for `decode(encode(data) ^ mask)`.
     pub fn read(&self, flat_index: u64) -> Decode {
-        let data = Self::stored_data(flat_index);
-        match self.flips.get(&flat_index) {
-            None => Decode::Clean { data },
-            Some(&mask) => decode(encode(data) ^ mask),
-        }
+        self.read_flipped(flat_index)
+            .unwrap_or_else(|| Decode::Clean {
+                data: Self::stored_data(flat_index),
+            })
+    }
+
+    /// [`read`](Self::read) for a row carrying flips; `None` for a clean
+    /// row, which then costs one map lookup and no stored word. For
+    /// callers that only act on errors.
+    pub fn read_flipped(&self, flat_index: u64) -> Option<Decode> {
+        let &mask = self.flips.get(&flat_index)?;
+        Some(decode(encode(Self::stored_data(flat_index)) ^ mask))
     }
 
     /// Clears the row's flip mask — the effect of a corrected write-back
@@ -127,6 +134,20 @@ mod tests {
             assert_eq!(mem.read(flat), Decode::Clean { data }, "row {flat}");
             assert_eq!(mem.read(flat), decode(encode(data)), "row {flat}");
         }
+    }
+
+    /// `read_flipped` is `read` on a row with flips and `None` on a clean
+    /// one, before any injection and after a clear.
+    #[test]
+    fn read_flipped_skips_only_clean_rows() {
+        let mut mem = EccMemory::new(7);
+        assert_eq!(mem.read_flipped(11), None);
+        for bits in [1, 2, 3] {
+            mem.inject_flips(11, 1);
+            assert_eq!(mem.read_flipped(11), Some(mem.read(11)), "{bits} flips");
+        }
+        mem.clear(11);
+        assert_eq!(mem.read_flipped(11), None);
     }
 
     #[test]

@@ -290,6 +290,12 @@ pub struct FaultInjector {
     stats: FaultStats,
     in_stall: bool,
     vrt_runtime: Vec<VrtRuntime>,
+    /// [`next_vrt_edge`](FaultInjector::next_vrt_edge) as the last
+    /// [`apply_vrt_transitions`](FaultInjector::apply_vrt_transitions)
+    /// that walked the specs left it; `None` before the first walk and
+    /// after [`with_spec`](FaultInjector::with_spec). A call before it
+    /// returns at once.
+    vrt_edge: Option<Instant>,
     /// Per-victim hammer pressure: adjacent-row ACTs since the victim's own
     /// last charge restore, indexed by flat row; 0 means no pressure. Empty
     /// until the first [`note_activation`] under a
@@ -317,6 +323,7 @@ impl FaultInjector {
     /// Adds one fault spec.
     pub fn with_spec(mut self, spec: FaultSpec) -> Self {
         self.specs.push(spec);
+        self.vrt_edge = None;
         self
     }
 
@@ -480,13 +487,18 @@ impl FaultInjector {
     /// An episode whose whole window elapsed before any call saw it open
     /// never starts. Called by the controller at every policy wakeup, so
     /// transitions take effect within one refresh slot. Idempotent between
-    /// transitions (see [`next_vrt_edge`](Self::next_vrt_edge)).
+    /// transitions: a call before the cached
+    /// [`next_vrt_edge`](Self::next_vrt_edge) returns without walking the
+    /// specs.
     pub fn apply_vrt_transitions(
         &mut self,
         tracker: &mut RetentionTracker,
         geometry: &Geometry,
         now: Instant,
     ) {
+        if self.vrt_edge.is_some_and(|edge| now < edge) {
+            return;
+        }
         if self.vrt_runtime.len() != self.specs.len() {
             self.vrt_runtime
                 .resize_with(self.specs.len(), VrtRuntime::default);
@@ -534,6 +546,7 @@ impl FaultInjector {
                 self.vrt_runtime[i].phase = VrtPhase::Done;
             }
         }
+        self.vrt_edge = Some(self.scan_vrt_edge());
     }
 
     /// The earliest instant [`apply_vrt_transitions`] can change anything:
@@ -543,6 +556,12 @@ impl FaultInjector {
     ///
     /// [`apply_vrt_transitions`]: FaultInjector::apply_vrt_transitions
     pub fn next_vrt_edge(&self) -> Instant {
+        self.vrt_edge.unwrap_or_else(|| self.scan_vrt_edge())
+    }
+
+    /// [`next_vrt_edge`](Self::next_vrt_edge) from the specs and their
+    /// episode phases.
+    fn scan_vrt_edge(&self) -> Instant {
         self.specs
             .iter()
             .enumerate()
@@ -1000,6 +1019,29 @@ mod tests {
         assert_eq!(plain.next_vrt_edge(), Instant::MAX);
         assert!(plain.stalls_dispatch());
         assert!(!inj.stalls_dispatch());
+    }
+
+    /// The cached edge is dropped when a spec is added: an episode added
+    /// after a walk that found none still starts on time.
+    #[test]
+    fn a_vrt_spec_added_after_a_walk_is_seen() {
+        let g = Geometry::new(1, 1, 8, 4, 64);
+        let mut t = RetentionTracker::new(&g, Duration::from_ms(64));
+        let mut inj = FaultInjector::new();
+        inj.apply_vrt_transitions(&mut t, &g, ms(5));
+        assert_eq!(inj.next_vrt_edge(), Instant::MAX);
+        let mut inj = inj.with_spec(FaultSpec::windowed(
+            FaultSite::exact(0, 0, 3),
+            ms(10),
+            ms(20),
+            FaultKind::VariableRetention {
+                deadline: Duration::from_ms(16),
+            },
+        ));
+        assert_eq!(inj.next_vrt_edge(), ms(10));
+        inj.apply_vrt_transitions(&mut t, &g, ms(10));
+        assert_eq!(inj.stats().vrt_transitions, 1);
+        assert_eq!(t.row_deadline(3), Duration::from_ms(16));
     }
 
     #[test]

@@ -90,7 +90,7 @@ mod tests {
         assert_eq!(reads.len(), 1000, "one read per gap up to the horizon");
         let mut prev = Instant::ZERO;
         for tx in &reads {
-            let flat = g.flatten(g.decode(tx.addr).row_addr);
+            let flat = g.decode(tx.addr).flat;
             assert!(!excluded.contains(&flat), "read of excluded row {flat}");
             assert!(flat < g.total_rows() / 2, "row {flat} above the lower half");
             assert!(!tx.is_write);
@@ -105,7 +105,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(0x5eed);
         let mut hits = 0;
         for tx in stream(g, gap, horizon, 0x5eed, &[]) {
-            let flat = g.flatten(g.decode(tx.addr).row_addr);
+            let flat = g.decode(tx.addr).flat;
             assert_eq!(flat, rng.gen_range(0..g.total_rows() / 2));
             hits += usize::from(excluded.contains(&flat));
         }

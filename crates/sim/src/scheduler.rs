@@ -154,6 +154,13 @@ pub struct MaintenanceScheduler {
     ces_this_epoch: u64,
     clean_streak: u32,
     stats: SchedulerStats,
+    /// Nothing is due before this instant: [`next_due`] as the loop of
+    /// [`advance`] last left it. Slots and epochs only move inside that
+    /// loop, so the bound stays exact between calls.
+    ///
+    /// [`next_due`]: MaintenanceScheduler::next_due
+    /// [`advance`]: MaintenanceScheduler::advance
+    quiet_until: Instant,
 }
 
 impl MaintenanceScheduler {
@@ -224,7 +231,7 @@ impl MaintenanceScheduler {
                 rows as usize,
             )));
         }
-        Ok(MaintenanceScheduler {
+        let mut sched = MaintenanceScheduler {
             cfg,
             scrubbers,
             watchdog: RetentionWatchdog::new(cfg.watchdog),
@@ -248,7 +255,10 @@ impl MaintenanceScheduler {
                 interval_drops: 0,
                 escalated: false,
             },
-        })
+            quiet_until: Instant::ZERO,
+        };
+        sched.quiet_until = sched.next_due();
+        Ok(sched)
     }
 
     /// The accumulated counters.
@@ -283,19 +293,28 @@ impl MaintenanceScheduler {
     /// exact.
     ///
     /// Before the earliest channel slot and the next epoch nothing is due:
-    /// the call returns at once and leaves the channels' exported CEs
-    /// where they are. Otherwise they are drained into the shared watchdog
-    /// first, and again after every slot, so each slot and each epoch sees
-    /// every CE found before it. Recording a CE is an order-independent
-    /// bucket increment, so draining late changes nothing an audit reads.
+    /// the call returns after one comparison with a cached bound and
+    /// leaves the channels' exported CEs where they are. Otherwise they
+    /// are drained into the shared watchdog first, and again after every
+    /// slot, so each slot and each epoch sees every CE found before it.
+    /// Recording a CE is an order-independent bucket increment, so
+    /// draining late changes nothing an audit reads.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from the channels' scrub issue paths.
+    #[inline]
     pub fn advance(&mut self, sys: &mut MultiChannelSystem, t: Instant) -> Result<(), SimError> {
-        if t < self.next_due() {
+        if t < self.quiet_until {
+            debug_assert!(t < self.next_due(), "skipped advance({t:?}) had work due");
             return Ok(());
         }
+        self.run_due(sys, t)
+    }
+
+    /// The body of [`advance`](Self::advance) once a slot or epoch is due
+    /// by `t`; ends by caching the next nothing-due bound.
+    fn run_due(&mut self, sys: &mut MultiChannelSystem, t: Instant) -> Result<(), SimError> {
         self.drain_ces(sys);
         loop {
             let next_scrub = self
@@ -309,6 +328,7 @@ impl MaintenanceScheduler {
                 })?;
             let epoch = self.watchdog.next_epoch();
             if next_scrub.0 > t && epoch > t {
+                self.quiet_until = next_scrub.0.min(epoch);
                 return Ok(());
             }
             if epoch <= next_scrub.0 {
@@ -709,6 +729,60 @@ mod tests {
             .unwrap();
         assert_eq!(sched.stats.scrubs[0], 2);
         assert_eq!(sched.stats.missed_deadlines, 0);
+    }
+
+    /// The cached nothing-due bound follows the slots wherever they
+    /// move: a skew postpones the next slot, an adaptive raise stretches
+    /// the one after, and each time the bound is the recomputed one.
+    #[test]
+    fn a_skew_and_an_interval_change_move_the_cached_bound() {
+        let mut sys = system(1).with_burst_tracking(64);
+        let mut c = cfg();
+        c.skew = Some(SkewConfig {
+            bins: 5,
+            history: Duration::from_ms(1),
+        });
+        let mut sched = MaintenanceScheduler::new(&sys, c).unwrap();
+        assert_eq!(sched.quiet_until, Instant::ZERO + c.scrub.interval);
+        for (k, row) in [(0u64, 0u64), (1, 1), (2, 2)] {
+            let t = Instant::ZERO + Duration::from_us(125) * k + Duration::from_us(5);
+            sys.access(row * 256, false, t).unwrap();
+        }
+        // As in the skew test: the slot after 125 µs moves from 250 µs to
+        // 287.5 µs, and the bound with it.
+        sched
+            .advance(&mut sys, Instant::ZERO + Duration::from_us(260))
+            .unwrap();
+        assert_eq!(sched.stats.slot_skews, 1);
+        assert_eq!(
+            sched.quiet_until,
+            Instant::ZERO + Duration::from_ps(287_500_000)
+        );
+        assert_eq!(sched.quiet_until, sched.next_due());
+
+        let mut sys = system(1);
+        let base = cfg().scrub.interval;
+        let mut c = cfg();
+        c.adaptive = Some(AdaptiveScrubConfig {
+            min_interval: base,
+            max_interval: base * 4,
+            storm_ces: 4,
+            clean_ces: 1,
+            clean_epochs_to_slow: 1,
+        });
+        let mut sched = MaintenanceScheduler::new(&sys, c).unwrap();
+        // A clean epoch doubles the interval; the slot already booked
+        // keeps its place, so the bound is that slot ...
+        let epoch = sched.watchdog.next_epoch();
+        sched.advance(&mut sys, epoch).unwrap();
+        assert_eq!(sched.stats.interval_raises, 1);
+        let booked = sched.scrubbers[0].next_slot();
+        assert_eq!(sched.quiet_until, booked);
+        assert_eq!(sched.quiet_until, sched.next_due());
+        // ... and once it runs, the next one is a doubled interval later.
+        sched.advance(&mut sys, booked).unwrap();
+        assert_eq!(sched.quiet_until, booked + base * 2);
+        assert_eq!(sched.quiet_until, sched.next_due());
     }
 
     #[test]
