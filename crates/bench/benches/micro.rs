@@ -141,17 +141,13 @@ fn bench_device() {
         let mut dev = DramDevice::new(geometry, timing);
         let mut now = Instant::ZERO;
         let mut row = 0u32;
+        let bank = geometry.bank_index(0, 0) as usize;
         bench("device/activate_read_precharge", 500_000, || {
             row = (row + 1) % 16384;
-            let addr = RowAddr {
-                rank: 0,
-                bank: 0,
-                row,
-            };
-            let act = must(dev.activate(addr, now), "activate");
-            must(dev.read(addr, 0, act.bank_ready_at), "read");
-            let pre_at = dev.bank(0, 0).earliest_precharge();
-            let out = must(dev.precharge(0, 0, pre_at), "precharge");
+            let act = must(dev.activate_at(bank, row, now), "activate");
+            must(dev.read_at(bank, row, 0, act.bank_ready_at), "read");
+            let pre_at = dev.bank_at(bank).earliest_precharge();
+            let out = must(dev.precharge_at(bank, pre_at), "precharge");
             now = out.bank_ready_at + Duration::from_ns(1);
         });
     }

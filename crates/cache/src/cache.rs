@@ -57,10 +57,10 @@ pub struct SetAssocCache {
     sets: u64,
     ways: usize,
     line_bytes: u64,
-    /// `(line_shift, set_shift)` when the line size and set count are both
-    /// powers of two (every shipped config): set/tag extraction by
-    /// shift/mask instead of 64-bit div/mod on the per-access path.
-    shifts: Option<(u8, u8)>,
+    /// `log2(line_bytes)`: the set index starts above the line offset.
+    line_shift: u32,
+    /// `log2(sets)`: the tag starts above the set index.
+    set_shift: u32,
     /// `tags[set * ways + way]`; meaningful only while the line is valid.
     /// Empty until the first nonzero tag is stored: an empty table reads
     /// tag 0 for every line.
@@ -80,7 +80,9 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the shape is degenerate (zero sizes, capacity not divisible
-    /// into sets, or non-power-of-two line size).
+    /// into sets, fewer than two lines) or if the line size or the set
+    /// count is not a power of two: set and tag are shifts and masks of
+    /// the address.
     pub fn new(capacity_bytes: u64, ways: usize, line_bytes: u64) -> Self {
         assert!(
             capacity_bytes > 0 && ways > 0 && line_bytes > 0,
@@ -97,20 +99,17 @@ impl SetAssocCache {
         );
         let sets = lines / ways as u64;
         assert!(lines > 1, "cache must hold at least two lines");
+        assert!(
+            sets.is_power_of_two(),
+            "set count must be a power of two, got {sets}"
+        );
         let n = lines as usize;
-        let shifts = if sets.is_power_of_two() {
-            Some((
-                line_bytes.trailing_zeros() as u8,
-                sets.trailing_zeros() as u8,
-            ))
-        } else {
-            None
-        };
         SetAssocCache {
             sets,
             ways,
             line_bytes,
-            shifts,
+            line_shift: line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             tags: Vec::new(),
             state: vec![0; n],
             stamps: if ways > 1 { vec![0; n] } else { Vec::new() },
@@ -146,10 +145,7 @@ impl SetAssocCache {
 
     #[inline]
     fn set_of(&self, addr: u64) -> u64 {
-        if let Some((line, set)) = self.shifts {
-            return (addr >> line) & ((1 << set) - 1);
-        }
-        (addr / self.line_bytes) % self.sets
+        (addr >> self.line_shift) & (self.sets - 1)
     }
 
     fn line_addr(&self, addr: u64) -> u64 {
@@ -157,15 +153,12 @@ impl SetAssocCache {
     }
 
     fn rebuild_addr(&self, tag: u64, set: u64) -> u64 {
-        (tag * self.sets + set) * self.line_bytes
+        ((tag << self.set_shift) | set) << self.line_shift
     }
 
     #[inline]
     fn tag_of(&self, addr: u64) -> u64 {
-        if let Some((line, set)) = self.shifts {
-            return (addr >> line) >> set;
-        }
-        (addr / self.line_bytes) / self.sets
+        addr >> self.line_shift >> self.set_shift
     }
 
     /// The tag stored in line `i` (0 while the tag table is unallocated).
@@ -431,5 +424,11 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_line_rejected() {
         SetAssocCache::new(128, 1, 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two, got 3")]
+    fn non_pow2_set_count_rejected() {
+        SetAssocCache::new(3 * 2 * 64, 2, 64);
     }
 }

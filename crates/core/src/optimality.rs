@@ -37,12 +37,6 @@ pub fn counter_optimality(bits: u32) -> f64 {
     1.0 - 1.0 / f64::from(1u32 << bits)
 }
 
-/// Optimality of the conventional periodic policy, which refreshes exactly
-/// at the deadline — the 100% reference point.
-pub fn periodic_optimality() -> f64 {
-    1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,10 +55,11 @@ mod tests {
         }
     }
 
+    /// The periodic policy refreshes exactly at the deadline: optimality 1.
     #[test]
     fn bounded_by_periodic() {
         for b in 1..=8 {
-            assert!(counter_optimality(b) < periodic_optimality());
+            assert!(counter_optimality(b) < 1.0);
         }
     }
 

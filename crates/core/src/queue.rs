@@ -149,11 +149,6 @@ impl PendingRefreshQueue {
     pub fn pop(&mut self) -> Option<PendingRefresh> {
         self.entries.pop_front()
     }
-
-    /// Peeks at the least-recent request without removing it.
-    pub fn peek(&self) -> Option<&PendingRefresh> {
-        self.entries.front()
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +172,7 @@ mod tests {
         }
         assert_eq!(q.pop().unwrap().row, row(0));
         assert_eq!(q.pop().unwrap().row, row(1));
-        assert_eq!(q.peek().unwrap().row, row(2));
+        assert_eq!(q.pop().unwrap().row, row(2));
     }
 
     #[test]

@@ -77,9 +77,6 @@ impl Default for SmartRefreshConfig {
 /// Statistics specific to the Smart Refresh engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SmartRefreshStats {
-    /// Counter examinations that found a nonzero value — periodic refreshes
-    /// eliminated relative to a per-examination refresh scheme.
-    pub nonzero_examinations: u64,
     /// Refresh requests generated (counters found at zero).
     pub refreshes_requested: u64,
     /// Counter resets caused by row opens/closes.
@@ -356,7 +353,6 @@ impl SmartRefresh {
                 if charged {
                     self.sram.writes += 1;
                 }
-                self.stats.nonzero_examinations += 1;
             }
         }
     }

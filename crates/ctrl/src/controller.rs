@@ -33,25 +33,14 @@ use crate::transaction::MemTransaction;
 use crate::watchdog::RetentionWatchdog;
 
 /// Power-down bookkeeping: DDR2 modules drop CKE between commands and burn
-/// a fraction of standby power. Idle gaps longer than `min_gap` are credited
-/// as power-down residency, net of the entry/exit overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PowerDownConfig {
-    /// Shortest idle gap worth entering power-down for.
-    pub min_gap: Duration,
-    /// Entry plus exit overhead subtracted from each credited gap
-    /// (tCKE + tXP at DDR2-667 scales).
-    pub overhead: Duration,
-}
+/// a fraction of standby power. An idle gap longer than this is credited as
+/// power-down residency, net of [`POWERDOWN_OVERHEAD`].
+const POWERDOWN_MIN_GAP: Duration = Duration::from_ns(100);
 
-impl Default for PowerDownConfig {
-    fn default() -> Self {
-        PowerDownConfig {
-            min_gap: Duration::from_ns(100),
-            overhead: Duration::from_ns(16),
-        }
-    }
-}
+/// Entry plus exit overhead subtracted from each credited power-down gap
+/// (tCKE + tXP at DDR2-667 scales). Smaller than [`POWERDOWN_MIN_GAP`], so
+/// every credited window is positive.
+const POWERDOWN_OVERHEAD: Duration = Duration::from_ns(16);
 
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,8 +95,6 @@ pub struct MemoryController<P: RefreshPolicy> {
     page_close_timeout: Option<Duration>,
     /// Open-page vs closed-page row-buffer management.
     page_policy: PagePolicy,
-    /// Power-down residency accounting; `None` disables it.
-    powerdown: Option<PowerDownConfig>,
     /// What happens to the policy's counter SRAM during CKE-low windows.
     counter_power: CounterPowerConfig,
     /// When the policy's counter state was last wholly rewritten: power-up,
@@ -164,7 +151,6 @@ impl<P: RefreshPolicy> MemoryController<P> {
             now: Instant::ZERO,
             page_close_timeout: Some(Duration::from_us(1)),
             page_policy: PagePolicy::Open,
-            powerdown: Some(PowerDownConfig::default()),
             counter_power: CounterPowerConfig::default(),
             counters_valid_from: Instant::ZERO,
             last_cmd_end: Instant::ZERO,
@@ -177,26 +163,6 @@ impl<P: RefreshPolicy> MemoryController<P> {
             darp: None,
             burst: None,
         }
-    }
-
-    /// Overrides power-down accounting (`None` disables it).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Config`] when the entry/exit overhead is not strictly
-    /// smaller than the minimum gap: such a config would credit a window
-    /// at zero (or, before the saturating fix, underflow the credit), so
-    /// it is rejected up front rather than silently mis-billed.
-    pub fn with_powerdown(mut self, cfg: Option<PowerDownConfig>) -> Result<Self, SimError> {
-        if let Some(pd) = cfg {
-            if pd.overhead >= pd.min_gap {
-                return Err(SimError::Config {
-                    what: "power-down overhead must be smaller than the minimum idle gap",
-                });
-            }
-        }
-        self.powerdown = cfg;
-        Ok(self)
     }
 
     /// Sets the counter power-state policy for CKE-low windows (default:
@@ -383,24 +349,20 @@ impl<P: RefreshPolicy> MemoryController<P> {
     /// effects are applied here too.
     #[inline]
     fn note_command(&mut self, start: Instant, end: Instant) {
-        if let Some(pd) = self.powerdown {
-            if start > self.last_cmd_end && start.since(self.last_cmd_end) > pd.min_gap {
-                self.credit_powerdown(pd, start);
-            }
+        if start > self.last_cmd_end && start.since(self.last_cmd_end) > POWERDOWN_MIN_GAP {
+            self.credit_powerdown(start);
         }
         self.last_cmd_end = self.last_cmd_end.max(end);
     }
 
     /// Credits the CKE-low window from the last command's end to `start`,
-    /// a gap longer than `pd.min_gap`.
-    fn credit_powerdown(&mut self, pd: PowerDownConfig, start: Instant) {
+    /// a gap longer than [`POWERDOWN_MIN_GAP`].
+    fn credit_powerdown(&mut self, start: Instant) {
         let gap = start.since(self.last_cmd_end);
-        // `with_powerdown` guarantees overhead < min_gap < gap, but credit
-        // saturating anyway — a zero credit beats an underflow panic.
-        self.stats.powerdown_time += gap.saturating_sub(pd.overhead);
+        self.stats.powerdown_time += gap - POWERDOWN_OVERHEAD;
         self.stats.powerdown_windows += 1;
         self.device
-            .note_powerdown(self.last_cmd_end, start, pd.min_gap);
+            .note_powerdown(self.last_cmd_end, start, POWERDOWN_MIN_GAP);
         self.counter_power_wake(gap, start);
     }
 
@@ -1571,7 +1533,7 @@ mod tests {
         let pre_done = mc.device().bank(0, 0).busy_until();
         let t2 = a.completed_at + Duration::from_us(10);
         mc.access(MemTransaction::read(g.row_bytes(), t2)).unwrap();
-        let overhead = PowerDownConfig::default().overhead;
+        let overhead = POWERDOWN_OVERHEAD;
         let pd = mc.stats().powerdown_time;
         assert_eq!(pd, t2.since(pre_done) - overhead);
         assert_eq!(pd, Duration::from_ns(9_960));
@@ -1678,66 +1640,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn powerdown_can_be_disabled() {
-        let g = small_geometry();
-        let t = TimingParams::ddr2_667();
-        let mut mc = MemoryController::new(DramDevice::new(g, t), NoRefresh::new())
-            .with_powerdown(None)
-            .unwrap();
-        let a = mc.access(MemTransaction::read(0, Instant::ZERO)).unwrap();
-        mc.access(MemTransaction::read(
-            64,
-            a.completed_at + Duration::from_ms(1),
-        ))
-        .unwrap();
-        assert_eq!(mc.stats().powerdown_time, Duration::ZERO);
-    }
-
-    #[test]
-    fn powerdown_rejects_overhead_not_smaller_than_min_gap() {
-        let g = small_geometry();
-        let t = TimingParams::ddr2_667();
-        let bad = PowerDownConfig {
-            min_gap: Duration::from_ns(100),
-            overhead: Duration::from_ns(100),
-        };
-        let r = MemoryController::new(DramDevice::new(g, t), NoRefresh::new())
-            .with_powerdown(Some(bad));
-        assert!(matches!(r, Err(SimError::Config { .. })));
-    }
-
-    #[test]
-    fn powerdown_credit_saturates_on_tight_gaps() {
-        // overhead one tick below min_gap: a gap barely over the threshold
-        // credits a sliver — the config that used to underflow the credit.
-        let g = small_geometry();
-        let t = TimingParams::ddr2_667();
-        let tight = PowerDownConfig {
-            min_gap: Duration::from_us(1),
-            overhead: Duration::from_ns(999),
-        };
-        let mut mc = MemoryController::new(DramDevice::new(g, t), NoRefresh::new())
-            .with_page_close_timeout(None)
-            .with_powerdown(Some(tight))
-            .unwrap();
-        let a = mc.access(MemTransaction::read(0, Instant::ZERO)).unwrap();
-        mc.access(MemTransaction::read(
-            64,
-            a.completed_at + Duration::from_ns(1_500),
-        ))
-        .unwrap();
-        // The gap clears min_gap by well under the overhead's magnitude:
-        // only the sliver above the overhead is credited, never a wrapped
-        // Duration.
-        let pd = mc.stats().powerdown_time;
-        assert!(
-            pd > Duration::ZERO && pd < Duration::from_ns(600),
-            "tight-gap credit {pd}"
-        );
-        assert_eq!(mc.stats().powerdown_windows, 1);
-    }
-
     fn smart_policy(g: Geometry, t: TimingParams) -> SmartRefresh {
         let cfg = SmartRefreshConfig {
             counter_bits: 3,
@@ -1766,7 +1668,7 @@ mod tests {
         let retained = mc.stats().counter_retention_time;
         let credited = mc.stats().powerdown_time;
         assert!(retained > Duration::from_us(9), "retention time {retained}");
-        assert_eq!(retained - credited, PowerDownConfig::default().overhead);
+        assert_eq!(retained - credited, POWERDOWN_OVERHEAD);
         assert_eq!(mc.stats().counters_reset_on_wake, 0);
         assert_eq!(mc.stats().counter_snapshots, 0);
     }

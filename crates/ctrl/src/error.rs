@@ -128,14 +128,6 @@ impl SimError {
             source,
         }
     }
-
-    /// The wrapped device error, if this is a protocol error.
-    pub fn dram_error(&self) -> Option<&DramError> {
-        match self {
-            SimError::Protocol { source, .. } => Some(source),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for SimError {
@@ -238,7 +230,7 @@ mod tests {
         assert_eq!((*op, *rank, *bank, *row), ("refresh", 1, 3, Some(42)));
         // The device error is reachable both directly and via the standard
         // source chain.
-        assert_eq!(err.dram_error(), Some(&dram));
+        assert!(matches!(&err, SimError::Protocol { source, .. } if *source == dram));
         let src = StdError::source(&err).expect("protocol errors have a source");
         assert_eq!(src.downcast_ref::<DramError>(), Some(&dram));
     }
@@ -265,7 +257,6 @@ mod tests {
             at: Instant::ZERO,
         };
         assert!(StdError::source(&err).is_none());
-        assert!(err.dram_error().is_none());
     }
 
     #[test]

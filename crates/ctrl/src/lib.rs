@@ -34,7 +34,7 @@ pub mod stats;
 pub mod transaction;
 pub mod watchdog;
 
-pub use controller::{AccessResult, MemoryController, PagePolicy, PowerDownConfig};
+pub use controller::{AccessResult, MemoryController, PagePolicy};
 pub use darp::{BurstTracker, DarpConfig, DarpEngine, DarpStats};
 pub use ecc::EccConfig;
 pub use error::SimError;

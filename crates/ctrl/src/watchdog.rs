@@ -117,11 +117,6 @@ impl RetentionWatchdog {
         *self.buckets.entry(flat_index).or_insert(0) += 1;
     }
 
-    /// Current bucket fill for a row.
-    pub fn bucket_fill(&self, flat_index: u64) -> u32 {
-        self.buckets.get(&flat_index).copied().unwrap_or(0)
-    }
-
     /// Runs the epoch audit at `now`: returns the rows whose buckets
     /// crossed the threshold (for the controller to force-scrub), records
     /// them as violations and empties their buckets, leaks every other
@@ -163,6 +158,11 @@ impl RetentionWatchdog {
 mod tests {
     use super::*;
 
+    /// Current bucket fill for a row.
+    fn bucket_fill(wd: &RetentionWatchdog, flat_index: u64) -> u32 {
+        wd.buckets.get(&flat_index).copied().unwrap_or(0)
+    }
+
     fn cfg() -> WatchdogConfig {
         WatchdogConfig {
             epoch: Duration::from_ms(8),
@@ -177,14 +177,14 @@ mod tests {
         let mut wd = RetentionWatchdog::new(cfg());
         wd.record_ce(7);
         wd.record_ce(7);
-        assert_eq!(wd.bucket_fill(7), 2);
+        assert_eq!(bucket_fill(&wd, 7), 2);
         // Below threshold: leaks by 1, no violation.
         assert!(wd.audit(wd.next_epoch()).is_empty());
-        assert_eq!(wd.bucket_fill(7), 1);
+        assert_eq!(bucket_fill(&wd, 7), 1);
         assert!(wd.violations().is_empty());
         // Another leak empties and drops the bucket.
         assert!(wd.audit(wd.next_epoch()).is_empty());
-        assert_eq!(wd.bucket_fill(7), 0);
+        assert_eq!(bucket_fill(&wd, 7), 0);
     }
 
     #[test]
@@ -199,7 +199,7 @@ mod tests {
         assert_eq!(wd.violations().len(), 1);
         assert_eq!(wd.violations()[0].flat_index, 5);
         assert_eq!(wd.violations()[0].fill, 3);
-        assert_eq!(wd.bucket_fill(5), 0, "flagged bucket empties");
+        assert_eq!(bucket_fill(&wd, 5), 0, "flagged bucket empties");
         assert!(!wd.should_escalate());
     }
 

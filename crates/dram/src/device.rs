@@ -48,31 +48,18 @@ struct SarpState {
     busy: Vec<Instant>,
 }
 
-/// The `(rank, bank, row)` name of `row` in the bank with flat index `bi`
-/// (which may be out of range), for errors and the protocol checker — the
-/// paths that need the coordinates back.
-fn row_addr(geometry: &Geometry, bi: usize, row: u32) -> RowAddr {
-    let banks = geometry.banks() as usize;
-    RowAddr {
-        rank: (bi / banks) as u32,
-        bank: (bi % banks) as u32,
-        row,
-    }
-}
-
 /// A DDR2-style DRAM module.
 ///
 /// # Examples
 ///
 /// ```
 /// use smartrefresh_dram::{DramDevice, Geometry, TimingParams};
-/// use smartrefresh_dram::geometry::RowAddr;
 /// use smartrefresh_dram::time::Instant;
 ///
 /// let mut dev = DramDevice::new(Geometry::new(1, 4, 64, 32, 64), TimingParams::ddr2_667());
-/// let row = RowAddr { rank: 0, bank: 0, row: 3 };
-/// let act = dev.activate(row, Instant::ZERO)?;
-/// let rd = dev.read(row, 0, act.bank_ready_at)?;
+/// let bank = dev.geometry().bank_index(0, 0) as usize;
+/// let act = dev.activate_at(bank, 3, Instant::ZERO)?;
+/// let rd = dev.read_at(bank, 3, 0, act.bank_ready_at)?;
 /// assert!(rd.completed_at > act.bank_ready_at);
 /// # Ok::<(), smartrefresh_dram::DramError>(())
 /// ```
@@ -330,18 +317,6 @@ impl DramDevice {
         self.banks.iter().map(|b| b.open_time(now)).sum()
     }
 
-    /// Validates `addr`'s `(rank, bank)` and resolves its flat bank index
-    /// (into `banks` and `open_mask`). The row is validated by
-    /// [`flat_at`](Self::flat_at), so a command checks each coordinate
-    /// once.
-    #[inline]
-    fn bank_of(&self, addr: RowAddr) -> Result<usize, DramError> {
-        if addr.rank >= self.geometry.ranks() || addr.bank >= self.geometry.banks() {
-            return Err(DramError::AddressOutOfRange { addr });
-        }
-        Ok((addr.rank * self.geometry.banks() + addr.bank) as usize)
-    }
-
     /// Validates `row` of the bank with flat index `bi` and resolves its
     /// flat row index (into the retention tracker). Every command carries
     /// the two flat indices through its body instead of looking the bank
@@ -350,7 +325,7 @@ impl DramDevice {
     fn flat_at(&self, bi: usize, row: u32) -> Result<u64, DramError> {
         if bi >= self.banks.len() || row >= self.geometry.rows() {
             return Err(DramError::AddressOutOfRange {
-                addr: row_addr(&self.geometry, bi, row),
+                addr: self.geometry.row_at(bi, row),
             });
         }
         Ok(self.flat_row(bi, row))
@@ -389,7 +364,7 @@ impl DramDevice {
     fn require_ready(&self, bi: usize, now: Instant) -> Result<(), DramError> {
         let b = &self.banks[bi];
         if !b.is_ready(now) {
-            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, 0);
+            let RowAddr { rank, bank, .. } = self.geometry.row_at(bi, 0);
             return Err(DramError::BankBusy {
                 rank,
                 bank,
@@ -399,7 +374,8 @@ impl DramDevice {
         Ok(())
     }
 
-    /// Issues ACTIVATE: opens `addr.row` in its bank.
+    /// Issues ACTIVATE: opens `row` in the bank with flat index
+    /// `bank_index` ([`Geometry::bank_index`]).
     ///
     /// Opening a row senses (and thus destroys-then-restores) its cells, so
     /// this also counts as a charge restore for retention purposes — the
@@ -407,21 +383,9 @@ impl DramDevice {
     ///
     /// # Errors
     ///
-    /// [`DramError::BankBusy`], [`DramError::BankAlreadyOpen`] or
-    /// [`DramError::AddressOutOfRange`].
-    pub fn activate(&mut self, addr: RowAddr, now: Instant) -> Result<OpOutcome, DramError> {
-        let bi = self.bank_of(addr)?;
-        self.activate_at(bi, addr.row, now)
-    }
-
-    /// [`activate`](Self::activate) addressed by flat bank index
-    /// ([`Geometry::bank_index`]) and row, for a caller that resolved the
-    /// bank once for several commands.
-    ///
-    /// # Errors
-    ///
-    /// As [`activate`](Self::activate); an out-of-range `bank_index` or
-    /// `row` is [`DramError::AddressOutOfRange`].
+    /// [`DramError::BankBusy`], [`DramError::BankAlreadyOpen`],
+    /// [`DramError::ActivateTooSoon`], or [`DramError::AddressOutOfRange`]
+    /// for an out-of-range `bank_index` or `row`.
     pub fn activate_at(
         &mut self,
         bank_index: usize,
@@ -432,15 +396,14 @@ impl DramDevice {
         let flat = self.flat_at(bi, row)?;
         self.require_ready(bi, now)?;
         if let Some(open) = self.banks[bi].open_row() {
-            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, row);
+            let RowAddr { rank, bank, .. } = self.geometry.row_at(bi, row);
             return Err(DramError::BankAlreadyOpen {
                 rank,
                 bank,
                 open_row: open,
             });
         }
-        // `unflatten` shifts instead of dividing on power-of-two shapes.
-        let rank = self.geometry.unflatten(flat).rank as usize;
+        let rank = self.geometry.row_at(bi, row).rank as usize;
         let window = self.ranks[rank].earliest_activate(self.timing.trrd, self.timing.tfaw);
         if now < window {
             return Err(DramError::ActivateTooSoon {
@@ -457,7 +420,7 @@ impl DramDevice {
         self.retention.restore(flat, now + tras);
         self.stats.activates += 1;
         if let Some(c) = self.checker.as_deref_mut() {
-            c.observe_activate(row_addr(&self.geometry, bi, row), now);
+            c.observe_activate(self.geometry.row_at(bi, row), now);
         }
         Ok(OpOutcome {
             bank_ready_at: now + trcd,
@@ -477,13 +440,13 @@ impl DramDevice {
         self.flat_at(bi, row)?;
         if column >= self.geometry.columns() {
             return Err(DramError::AddressOutOfRange {
-                addr: row_addr(&self.geometry, bi, row),
+                addr: self.geometry.row_at(bi, row),
             });
         }
         self.require_ready(bi, now)?;
         match self.banks[bi].open_row() {
             None => {
-                let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, row);
+                let RowAddr { rank, bank, .. } = self.geometry.row_at(bi, row);
                 return Err(DramError::NoOpenRow { rank, bank });
             }
             Some(open) if open != row => {
@@ -508,7 +471,7 @@ impl DramDevice {
             self.stats.reads += 1;
         }
         if let Some(c) = self.checker.as_deref_mut() {
-            c.observe_column(row_addr(&self.geometry, bi, row), now, is_write);
+            c.observe_column(self.geometry.row_at(bi, row), now, is_write);
         }
         Ok(OpOutcome {
             bank_ready_at: now + tburst,
@@ -517,42 +480,13 @@ impl DramDevice {
         })
     }
 
-    /// Issues READ of `column` from the open row.
+    /// Issues READ of `column` from the open `row` of the bank with flat
+    /// index `bank_index`.
     ///
     /// # Errors
     ///
     /// [`DramError::NoOpenRow`], [`DramError::RowMismatch`],
     /// [`DramError::BankBusy`] or [`DramError::AddressOutOfRange`].
-    pub fn read(
-        &mut self,
-        addr: RowAddr,
-        column: u32,
-        now: Instant,
-    ) -> Result<OpOutcome, DramError> {
-        let bi = self.bank_of(addr)?;
-        self.column_access(bi, addr.row, column, now, false)
-    }
-
-    /// Issues WRITE of `column` into the open row.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DramDevice::read`].
-    pub fn write(
-        &mut self,
-        addr: RowAddr,
-        column: u32,
-        now: Instant,
-    ) -> Result<OpOutcome, DramError> {
-        let bi = self.bank_of(addr)?;
-        self.column_access(bi, addr.row, column, now, true)
-    }
-
-    /// [`read`](Self::read) addressed by flat bank index and row.
-    ///
-    /// # Errors
-    ///
-    /// As [`read`](Self::read).
     pub fn read_at(
         &mut self,
         bank_index: usize,
@@ -563,11 +497,12 @@ impl DramDevice {
         self.column_access(bank_index, row, column, now, false)
     }
 
-    /// [`write`](Self::write) addressed by flat bank index and row.
+    /// Issues WRITE of `column` into the open `row` of the bank with flat
+    /// index `bank_index`.
     ///
     /// # Errors
     ///
-    /// As [`read`](Self::read).
+    /// As [`read_at`](Self::read_at).
     pub fn write_at(
         &mut self,
         bank_index: usize,
@@ -578,7 +513,8 @@ impl DramDevice {
         self.column_access(bank_index, row, column, now, true)
     }
 
-    /// Issues PRECHARGE: writes the open row back and closes the bank.
+    /// Issues PRECHARGE: writes the open row of the bank with flat index
+    /// `bank_index` back and closes the bank.
     ///
     /// Closing a page rewrites the cells, so this is also a charge restore
     /// (the paper resets the row's time-out counter here too, §4.1).
@@ -587,24 +523,6 @@ impl DramDevice {
     ///
     /// [`DramError::NoOpenRow`], [`DramError::BankBusy`] or
     /// [`DramError::PrechargeTooEarly`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `(rank, bank)` is out of range.
-    pub fn precharge(
-        &mut self,
-        rank: u32,
-        bank: u32,
-        now: Instant,
-    ) -> Result<OpOutcome, DramError> {
-        self.precharge_at(self.geometry.bank_index(rank, bank) as usize, now)
-    }
-
-    /// [`precharge`](Self::precharge) addressed by flat bank index.
-    ///
-    /// # Errors
-    ///
-    /// As [`precharge`](Self::precharge).
     ///
     /// # Panics
     ///
@@ -618,7 +536,7 @@ impl DramDevice {
         self.require_ready(bi, now)?;
         let b = &self.banks[bi];
         if b.open_row().is_none() {
-            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, 0);
+            let RowAddr { rank, bank, .. } = self.geometry.row_at(bi, 0);
             return Err(DramError::NoOpenRow { rank, bank });
         }
         if now < b.earliest_precharge() {
@@ -628,14 +546,14 @@ impl DramDevice {
         }
         let trp = self.timing.trp;
         let Some(row) = self.banks[bi].do_precharge(now, trp) else {
-            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, 0);
+            let RowAddr { rank, bank, .. } = self.geometry.row_at(bi, 0);
             return Err(DramError::NoOpenRow { rank, bank });
         };
         self.mark_open(bi, false);
         self.retention.restore(self.flat_row(bi, row), now);
         self.stats.precharges += 1;
         if let Some(c) = self.checker.as_deref_mut() {
-            let RowAddr { rank, bank, .. } = row_addr(&self.geometry, bi, row);
+            let RowAddr { rank, bank, .. } = self.geometry.row_at(bi, row);
             c.observe_precharge(rank, bank, Some(row), now);
         }
         Ok(OpOutcome {
@@ -643,6 +561,22 @@ impl DramDevice {
             completed_at: now + trp,
             closed_open_page: false,
         })
+    }
+
+    /// Validates every coordinate of `addr`, then runs
+    /// [`refresh_common`](Self::refresh_common) on it.
+    fn refresh_row(
+        &mut self,
+        addr: RowAddr,
+        now: Instant,
+        class: RefreshClass,
+    ) -> Result<OpOutcome, DramError> {
+        let g = &self.geometry;
+        if addr.rank >= g.ranks() || addr.bank >= g.banks() || addr.row >= g.rows() {
+            return Err(DramError::AddressOutOfRange { addr });
+        }
+        let bi = g.bank_index(addr.rank, addr.bank) as usize;
+        self.refresh_common(bi, addr.row, now, class)
     }
 
     /// The shared body of every row-restoring refresh command, for the
@@ -687,7 +621,7 @@ impl DramDevice {
         let done = start + trfc;
         self.retention.restore(self.flat_row(bi, row), done);
         if let Some(c) = self.checker.as_deref_mut() {
-            c.observe_refresh(row_addr(&self.geometry, bi, row), now, pre, start, class);
+            c.observe_refresh(self.geometry.row_at(bi, row), now, pre, start, class);
         }
         Ok(OpOutcome {
             bank_ready_at: done,
@@ -722,7 +656,7 @@ impl DramDevice {
         self.retention.restore(self.flat_row(bi, row), done);
         self.stats.sarp_overlapped_refreshes += 1;
         if let Some(c) = self.checker.as_deref_mut() {
-            c.observe_sarp_refresh(row_addr(&self.geometry, bi, row), start, class);
+            c.observe_sarp_refresh(self.geometry.row_at(bi, row), start, class);
         }
         Ok(OpOutcome {
             // The bank is never reserved: demand accesses to other
@@ -776,9 +710,7 @@ impl DramDevice {
         addr: RowAddr,
         now: Instant,
     ) -> Result<OpOutcome, DramError> {
-        let bi = self.bank_of(addr)?;
-        self.flat_at(bi, addr.row)?;
-        let outcome = self.refresh_common(bi, addr.row, now, RefreshClass::RasOnly)?;
+        let outcome = self.refresh_row(addr, now, RefreshClass::RasOnly)?;
         self.stats.ras_only_refreshes += 1;
         Ok(outcome)
     }
@@ -798,9 +730,7 @@ impl DramDevice {
     ///
     /// [`DramError::BankBusy`] or [`DramError::AddressOutOfRange`].
     pub fn scrub_row(&mut self, addr: RowAddr, now: Instant) -> Result<OpOutcome, DramError> {
-        let bi = self.bank_of(addr)?;
-        self.flat_at(bi, addr.row)?;
-        let outcome = self.refresh_common(bi, addr.row, now, RefreshClass::Scrub)?;
+        let outcome = self.refresh_row(addr, now, RefreshClass::Scrub)?;
         self.stats.scrubs += 1;
         Ok(outcome)
     }
@@ -819,9 +749,7 @@ impl DramDevice {
     ///
     /// [`DramError::BankBusy`] or [`DramError::AddressOutOfRange`].
     pub fn refresh_rfm(&mut self, addr: RowAddr, now: Instant) -> Result<OpOutcome, DramError> {
-        let bi = self.bank_of(addr)?;
-        self.flat_at(bi, addr.row)?;
-        let outcome = self.refresh_common(bi, addr.row, now, RefreshClass::Rfm)?;
+        let outcome = self.refresh_row(addr, now, RefreshClass::Rfm)?;
         self.stats.rfm_refreshes += 1;
         Ok(outcome)
     }
@@ -854,10 +782,15 @@ mod tests {
         RowAddr { rank: 0, bank, row }
     }
 
+    /// Flat bank index of `bank` in rank 0, through the geometry.
+    fn bi(d: &DramDevice, bank: u32) -> usize {
+        d.geometry().bank_index(0, bank) as usize
+    }
+
     #[test]
     fn read_requires_activate_first() {
         let mut d = dev();
-        let err = d.read(row(0, 3), 0, Instant::ZERO).unwrap_err();
+        let err = d.read_at(bi(&d, 0), 3, 0, Instant::ZERO).unwrap_err();
         assert!(matches!(err, DramError::NoOpenRow { .. }));
     }
 
@@ -866,10 +799,12 @@ mod tests {
         let mut d = dev();
         let a = row(0, 3);
         let t0 = Instant::ZERO;
-        let act = d.activate(a, t0).unwrap();
-        let rd = d.read(a, 2, act.bank_ready_at).unwrap();
+        let act = d.activate_at(bi(&d, a.bank), a.row, t0).unwrap();
+        let rd = d
+            .read_at(bi(&d, a.bank), a.row, 2, act.bank_ready_at)
+            .unwrap();
         let pre_time = d.bank(0, 0).earliest_precharge().max(rd.bank_ready_at);
-        d.precharge(0, 0, pre_time).unwrap();
+        d.precharge_at(bi(&d, 0), pre_time).unwrap();
         assert_eq!(d.stats().activates, 1);
         assert_eq!(d.stats().reads, 1);
         assert_eq!(d.stats().precharges, 1);
@@ -883,9 +818,9 @@ mod tests {
     #[test]
     fn activate_while_open_is_rejected() {
         let mut d = dev();
-        d.activate(row(0, 1), Instant::ZERO).unwrap();
+        d.activate_at(bi(&d, 0), 1, Instant::ZERO).unwrap();
         let t = Instant::ZERO + Duration::from_us(1);
-        let err = d.activate(row(0, 2), t).unwrap_err();
+        let err = d.activate_at(bi(&d, 0), 2, t).unwrap_err();
         assert!(matches!(
             err,
             DramError::BankAlreadyOpen { open_row: 1, .. }
@@ -895,8 +830,8 @@ mod tests {
     #[test]
     fn early_precharge_is_rejected() {
         let mut d = dev();
-        let act = d.activate(row(0, 1), Instant::ZERO).unwrap();
-        let err = d.precharge(0, 0, act.bank_ready_at).unwrap_err();
+        let act = d.activate_at(bi(&d, 0), 1, Instant::ZERO).unwrap();
+        let err = d.precharge_at(bi(&d, 0), act.bank_ready_at).unwrap_err();
         assert!(matches!(err, DramError::PrechargeTooEarly { .. }));
     }
 
@@ -905,7 +840,7 @@ mod tests {
         let mut d = dev();
         d.refresh_ras_only(row(0, 5), Instant::ZERO).unwrap();
         let err = d
-            .activate(row(0, 1), Instant::ZERO + Duration::from_ns(10))
+            .activate_at(bi(&d, 0), 1, Instant::ZERO + Duration::from_ns(10))
             .unwrap_err();
         assert!(matches!(err, DramError::BankBusy { .. }));
     }
@@ -938,7 +873,7 @@ mod tests {
     #[test]
     fn refresh_into_open_bank_closes_page_and_flags_it() {
         let mut d = dev();
-        d.activate(row(0, 1), Instant::ZERO).unwrap();
+        d.activate_at(bi(&d, 0), 1, Instant::ZERO).unwrap();
         let t = Instant::ZERO + Duration::from_us(1);
         let out = d.refresh_ras_only(row(0, 7), t).unwrap();
         assert!(out.closed_open_page);
@@ -1000,9 +935,6 @@ mod tests {
         let t = Instant::ZERO;
         for bad in bads {
             let results = [
-                d.activate(bad, t),
-                d.read(bad, 0, t),
-                d.write(bad, 0, t),
                 d.refresh_ras_only(bad, t),
                 d.scrub_row(bad, t),
                 d.refresh_rfm(bad, t),
@@ -1011,18 +943,24 @@ mod tests {
                 assert_eq!(r, Err(DramError::AddressOutOfRange { addr: bad }));
             }
         }
-        // The flat-index commands name the same coordinates in the error.
-        for (bank_index, row, addr) in [(2, 0, bads[0]), (0, 16, bads[2])] {
+        // The flat-index commands name the coordinates of the bank index
+        // in the error: index 9 is rank 4, bank 1.
+        let bank9 = RowAddr {
+            rank: 4,
+            bank: 1,
+            row: 0,
+        };
+        for (bank_index, row, addr) in [(2, 0, bads[0]), (9, 0, bank9), (0, 16, bads[2])] {
             let want = Err(DramError::AddressOutOfRange { addr });
             assert_eq!(d.activate_at(bank_index, row, t), want);
             assert_eq!(d.read_at(bank_index, row, 0, t), want);
             assert_eq!(d.write_at(bank_index, row, 0, t), want);
         }
         // A column past the row is out of range too, even on an open row.
-        let act = d.activate(row(1, 4), t).unwrap();
+        let act = d.activate_at(bi(&d, 1), 4, t).unwrap();
         for r in [
-            d.read(row(1, 4), 8, act.bank_ready_at),
-            d.write(row(1, 4), 8, act.bank_ready_at),
+            d.read_at(bi(&d, 1), 4, 8, act.bank_ready_at),
+            d.write_at(bi(&d, 1), 4, 8, act.bank_ready_at),
         ] {
             assert_eq!(r, Err(DramError::AddressOutOfRange { addr: row(1, 4) }));
         }
@@ -1036,7 +974,7 @@ mod tests {
     #[test]
     fn commands_report_the_bank_state_errors_they_hit() {
         let mut d = dev();
-        let act = d.activate(row(1, 3), Instant::ZERO).unwrap();
+        let act = d.activate_at(bi(&d, 1), 3, Instant::ZERO).unwrap();
         let busy = Instant::ZERO + Duration::from_ns(1);
         let ready_at = act.bank_ready_at;
         let busy_err = || {
@@ -1046,13 +984,13 @@ mod tests {
                 ready_at,
             })
         };
-        assert_eq!(d.read(row(1, 3), 0, busy), busy_err());
-        assert_eq!(d.write(row(1, 3), 0, busy), busy_err());
-        assert_eq!(d.precharge(0, 1, busy), busy_err());
+        assert_eq!(d.read_at(bi(&d, 1), 3, 0, busy), busy_err());
+        assert_eq!(d.write_at(bi(&d, 1), 3, 0, busy), busy_err());
+        assert_eq!(d.precharge_at(bi(&d, 1), busy), busy_err());
         assert_eq!(d.refresh_ras_only(row(1, 9), busy), busy_err());
         assert_eq!(d.refresh_cbr(0, 1, busy).map(|(o, _)| o), busy_err());
         assert_eq!(
-            d.activate(row(1, 5), ready_at),
+            d.activate_at(bi(&d, 1), 5, ready_at),
             Err(DramError::BankAlreadyOpen {
                 rank: 0,
                 bank: 1,
@@ -1060,22 +998,22 @@ mod tests {
             })
         );
         assert_eq!(
-            d.read(row(1, 5), 0, ready_at),
+            d.read_at(bi(&d, 1), 5, 0, ready_at),
             Err(DramError::RowMismatch {
                 requested: 5,
                 open_row: 3,
             })
         );
         assert_eq!(
-            d.read(row(0, 5), 0, ready_at),
+            d.read_at(bi(&d, 0), 5, 0, ready_at),
             Err(DramError::NoOpenRow { rank: 0, bank: 0 })
         );
         assert_eq!(
-            d.precharge(0, 0, ready_at),
+            d.precharge_at(bi(&d, 0), ready_at),
             Err(DramError::NoOpenRow { rank: 0, bank: 0 })
         );
         assert_eq!(
-            d.precharge(0, 1, ready_at),
+            d.precharge_at(bi(&d, 1), ready_at),
             Err(DramError::PrechargeTooEarly {
                 earliest: Instant::ZERO + d.timing().tras,
             })
@@ -1089,21 +1027,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "bank out of range")]
     fn bank_commands_panic_on_a_bank_out_of_range() {
-        let _ = dev().precharge(0, 2, Instant::ZERO);
+        let mut d = dev();
+        let _ = d.precharge_at(bi(&d, 2), Instant::ZERO);
     }
 
     #[test]
     fn trrd_spaces_activates_within_a_rank() {
         let mut d = dev();
-        d.activate(row(0, 0), Instant::ZERO).unwrap();
+        d.activate_at(bi(&d, 0), 0, Instant::ZERO).unwrap();
         // Different bank, same rank, 1 ns later: violates tRRD (7.5 ns).
         let err = d
-            .activate(row(1, 0), Instant::ZERO + Duration::from_ns(1))
+            .activate_at(bi(&d, 1), 0, Instant::ZERO + Duration::from_ns(1))
             .unwrap_err();
         assert!(matches!(err, DramError::ActivateTooSoon { .. }));
         // At the published earliest time it succeeds.
         let earliest = d.earliest_activate(0);
-        d.activate(row(1, 0), earliest).unwrap();
+        d.activate_at(bi(&d, 1), 0, earliest).unwrap();
     }
 
     #[test]
@@ -1114,15 +1053,7 @@ mod tests {
         let mut now = Instant::ZERO;
         for bank in 0..4 {
             now = now.max(d.earliest_activate(0));
-            d.activate(
-                RowAddr {
-                    rank: 0,
-                    bank,
-                    row: 0,
-                },
-                now,
-            )
-            .unwrap();
+            d.activate_at(bi(&d, bank), 0, now).unwrap();
         }
         let fifth_earliest = d.earliest_activate(0);
         // tFAW (37.5 ns) from the first activate dominates 4 x tRRD (30 ns).
@@ -1133,8 +1064,9 @@ mod tests {
     fn write_recovery_delays_precharge() {
         let mut d = dev();
         let a = row(0, 3);
-        let act = d.activate(a, Instant::ZERO).unwrap();
-        d.write(a, 0, act.bank_ready_at).unwrap();
+        let act = d.activate_at(bi(&d, a.bank), a.row, Instant::ZERO).unwrap();
+        d.write_at(bi(&d, a.bank), a.row, 0, act.bank_ready_at)
+            .unwrap();
         let t = *d.timing();
         // Write at 15 ns: recovery floor = 15 + tCL + tBURST + tWR = 51 ns,
         // which exceeds the tRAS floor of 45 ns.
@@ -1142,24 +1074,18 @@ mod tests {
         assert_eq!(d.bank(0, 0).earliest_precharge(), floor);
         assert!(floor > Instant::ZERO + t.tras);
         // Precharging just before the recovery floor is rejected...
-        let err = d.precharge(0, 0, floor - Duration::from_ns(1)).unwrap_err();
+        let err = d
+            .precharge_at(bi(&d, 0), floor - Duration::from_ns(1))
+            .unwrap_err();
         assert!(matches!(err, DramError::PrechargeTooEarly { .. }));
         // ...and at the floor it succeeds.
-        d.precharge(0, 0, floor).unwrap();
+        d.precharge_at(bi(&d, 0), floor).unwrap();
     }
 
     #[test]
     fn ranks_have_independent_activation_windows() {
         let mut d = DramDevice::new(Geometry::new(2, 2, 16, 8, 64), TimingParams::ddr2_667());
-        d.activate(
-            RowAddr {
-                rank: 0,
-                bank: 0,
-                row: 0,
-            },
-            Instant::ZERO,
-        )
-        .unwrap();
+        d.activate_at(bi(&d, 0), 0, Instant::ZERO).unwrap();
         // Rank 1 is unconstrained by rank 0's activate.
         assert_eq!(d.earliest_activate(1), Instant::ZERO);
     }
@@ -1170,7 +1096,7 @@ mod tests {
         // 16 rows, 4 subarrays -> rows 0..4 in subarray 0, 4..8 in 1, etc.
         d.enable_subarrays(4);
         assert_eq!(d.subarrays(), 4);
-        d.activate(row(0, 1), Instant::ZERO).unwrap();
+        d.activate_at(bi(&d, 0), 1, Instant::ZERO).unwrap();
         let t = Instant::ZERO + Duration::from_us(1);
         // Row 7 lives in subarray 1; the page in subarray 0 stays open.
         let out = d.refresh_ras_only(row(0, 7), t).unwrap();
@@ -1192,7 +1118,7 @@ mod tests {
     fn sarp_same_subarray_refresh_still_closes_the_page() {
         let mut d = dev();
         d.enable_subarrays(4);
-        d.activate(row(0, 1), Instant::ZERO).unwrap();
+        d.activate_at(bi(&d, 0), 1, Instant::ZERO).unwrap();
         let t = Instant::ZERO + Duration::from_us(1);
         // Row 2 shares subarray 0 with the open row 1: the sense amps are
         // occupied by the page, so the classic close-then-refresh applies.
@@ -1207,7 +1133,7 @@ mod tests {
     fn sarp_back_to_back_overlaps_serialise_within_a_subarray() {
         let mut d = dev();
         d.enable_subarrays(4);
-        d.activate(row(0, 1), Instant::ZERO).unwrap();
+        d.activate_at(bi(&d, 0), 1, Instant::ZERO).unwrap();
         let t = Instant::ZERO + Duration::from_us(1);
         let first = d.refresh_ras_only(row(0, 7), t).unwrap();
         // Second overlapped refresh into the same subarray queues behind
@@ -1228,7 +1154,7 @@ mod tests {
     #[test]
     fn open_time_accumulates_for_background_energy() {
         let mut d = dev();
-        d.activate(row(0, 0), Instant::ZERO).unwrap();
+        d.activate_at(bi(&d, 0), 0, Instant::ZERO).unwrap();
         let now = Instant::ZERO + Duration::from_us(10);
         assert_eq!(d.total_open_time(now), Duration::from_us(10));
     }

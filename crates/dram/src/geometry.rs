@@ -34,50 +34,46 @@ pub struct Geometry {
     columns: u32,
     /// Width of the *data* portion of the bus in bits (excludes ECC).
     data_bits: u32,
-    /// The address layout for the inlined fast path of [`decode`], which
-    /// runs once per demand access: `Some` when every interleave dimension
-    /// (column bytes, columns, banks, ranks, rows) is a power of two and
-    /// the capacity fits in 63 address bits, else `None` (the out-of-line
-    /// div/mod path). Derived from the dimensions above, so the extra field
-    /// never changes equality or hashing semantics.
-    ///
-    /// [`decode`]: Geometry::decode
-    addr_bits: Option<AddrBits>,
-    /// Shift widths for the power-of-two fast path of [`unflatten`]:
-    /// `log2` of (rows, banks) when both are powers of two, else `None`.
-    /// Derived like `addr_bits`.
-    ///
-    /// [`unflatten`]: Geometry::unflatten
-    flat_shifts: Option<(u8, u8)>,
+    /// Where each field of an address sits, derived from the dimensions
+    /// above, so it never changes equality or hashing semantics.
+    addr_bits: AddrBits,
 }
 
 impl Geometry {
     /// Creates a geometry.
     ///
+    /// Every dimension is a power of two, as in every module the paper
+    /// evaluates, so each address field is a shift and a mask.
+    ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or `data_bits` is not a multiple of 8.
+    /// Panics if `ranks`, `banks`, `rows`, `columns` or the column width
+    /// `data_bits / 8` is not a power of two (zero included), if `data_bits`
+    /// is not a multiple of 8, or if the capacity does not fit in 63
+    /// address bits.
     pub fn new(ranks: u32, banks: u32, rows: u32, columns: u32, data_bits: u32) -> Self {
-        assert!(ranks > 0, "ranks must be nonzero");
-        assert!(banks > 0, "banks must be nonzero");
-        assert!(rows > 0, "rows must be nonzero");
-        assert!(columns > 0, "columns must be nonzero");
         assert!(
-            data_bits > 0 && data_bits.is_multiple_of(8),
-            "data_bits must be a nonzero multiple of 8"
+            data_bits.is_multiple_of(8) && (data_bits / 8).is_power_of_two(),
+            "data_bits must be 8 times a power of two, got {data_bits}"
         );
-        let col_bytes = u64::from(data_bits) / 8;
-        let addr_bits = AddrBits::of(col_bytes, columns, banks, ranks, rows);
-        let flat_shifts = (rows.is_power_of_two() && banks.is_power_of_two())
-            .then(|| (rows.trailing_zeros() as u8, banks.trailing_zeros() as u8));
+        for (n, what) in [
+            (ranks, "ranks"),
+            (banks, "banks"),
+            (rows, "rows"),
+            (columns, "columns"),
+        ] {
+            assert!(
+                n.is_power_of_two(),
+                "{what} must be a power of two, got {n}"
+            );
+        }
         Geometry {
             ranks,
             banks,
             rows,
             columns,
             data_bits,
-            addr_bits,
-            flat_shifts,
+            addr_bits: AddrBits::of(data_bits / 8, columns, banks, ranks, rows),
         }
     }
 
@@ -145,15 +141,11 @@ impl Geometry {
     /// Addresses beyond the capacity wrap (callers model virtual→physical
     /// placement separately).
     ///
-    /// Runs once per demand access. The all-power-of-two shape (every
-    /// shipped module config) is a handful of shifts and masks, always
-    /// inlined so the result stays in registers; any other shape takes
-    /// the out-of-line div/mod path.
+    /// Runs once per demand access: a handful of shifts and masks, always
+    /// inlined so the result stays in registers.
     #[inline(always)]
     pub fn decode(&self, addr: u64) -> DecodedAddr {
-        let Some(b) = self.addr_bits else {
-            return self.decode_div_mod(addr);
-        };
+        let b = self.addr_bits;
         // Three independent field extractions, no dependency chain.
         let column = (addr >> b.column_shift) as u32 & b.column_mask;
         let bank_index = (addr >> b.bank_shift) as u32 & b.bank_index_mask;
@@ -167,28 +159,6 @@ impl Geometry {
             column,
             bank_index,
             flat: (u64::from(bank_index) << b.rows) | u64::from(row),
-        }
-    }
-
-    /// [`decode`](Self::decode) for a shape with a dimension that is not a
-    /// power of two.
-    #[cold]
-    #[inline(never)]
-    fn decode_div_mod(&self, addr: u64) -> DecodedAddr {
-        let blocks = addr / self.column_bytes();
-        let column = (blocks % u64::from(self.columns)) as u32;
-        let after_col = blocks / u64::from(self.columns);
-        let bank = (after_col % u64::from(self.banks)) as u32;
-        let after_bank = after_col / u64::from(self.banks);
-        let rank = (after_bank % u64::from(self.ranks)) as u32;
-        let after_rank = after_bank / u64::from(self.ranks);
-        let row = (after_rank % u64::from(self.rows)) as u32;
-        let bank_index = rank * self.banks + bank;
-        DecodedAddr {
-            row_addr: RowAddr { rank, bank, row },
-            column,
-            bank_index,
-            flat: u64::from(bank_index) * u64::from(self.rows) + u64::from(row),
         }
     }
 
@@ -214,21 +184,22 @@ impl Geometry {
     #[inline]
     pub fn unflatten(&self, index: u64) -> RowAddr {
         assert!(index < self.total_rows(), "flat row index out of range");
-        if let Some((rows, banks)) = self.flat_shifts {
-            // Rows and banks are powers of two (every shipped module
-            // config): shift/mask instead of three div/mod ops.
-            let rb = index >> rows;
-            return RowAddr {
-                rank: (rb >> banks) as u32,
-                bank: (rb & ((1 << banks) - 1)) as u32,
-                row: (index & ((1 << rows) - 1)) as u32,
-            };
+        let b = self.addr_bits;
+        self.row_at((index >> b.rows) as usize, index as u32 & b.row_mask)
+    }
+
+    /// The `(rank, bank, row)` of `row` in the bank with flat index
+    /// `bank_index` (the inverse of [`bank_index`](Self::bank_index)).
+    /// Nothing is range-checked, so it also names an out-of-range command
+    /// in an error.
+    #[inline]
+    pub fn row_at(&self, bank_index: usize, row: u32) -> RowAddr {
+        let b = self.addr_bits;
+        RowAddr {
+            rank: (bank_index >> b.banks) as u32,
+            bank: bank_index as u32 & b.bank_mask,
+            row,
         }
-        let row = (index % u64::from(self.rows)) as u32;
-        let rb = index / u64::from(self.rows);
-        let bank = (rb % u64::from(self.banks)) as u32;
-        let rank = (rb / u64::from(self.banks)) as u32;
-        RowAddr { rank, bank, row }
     }
 
     /// Dense index of a `(rank, bank)` pair in `0..total_banks()`.
@@ -260,10 +231,10 @@ impl fmt::Display for Geometry {
     }
 }
 
-/// Where each field of a physical address sits on an all-power-of-two
-/// shape: from the bottom, the byte within a column, the column, the bank,
-/// the rank, then the row. Bank and rank are adjacent, so one field holds
-/// the flat bank index `rank * banks + bank`.
+/// Where each field of a physical address sits: from the bottom, the byte
+/// within a column, the column, the bank, the rank, then the row. Bank and
+/// rank are adjacent, so one field holds the flat bank index
+/// `rank * banks + bank`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct AddrBits {
     column_shift: u8,
@@ -280,28 +251,25 @@ struct AddrBits {
 }
 
 impl AddrBits {
-    /// The layout of a shape, or `None` unless every dimension is a power
-    /// of two, the flat bank index fits in 31 bits and every address bit
-    /// above the row is a wrap (capacity at most 2^63 bytes).
-    fn of(col_bytes: u64, columns: u32, banks: u32, ranks: u32, rows: u32) -> Option<Self> {
-        if !(col_bytes.is_power_of_two()
-            && columns.is_power_of_two()
-            && banks.is_power_of_two()
-            && ranks.is_power_of_two()
-            && rows.is_power_of_two())
-        {
-            return None;
-        }
+    /// The layout of an all-power-of-two shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the flat bank index fits in 31 bits and every address
+    /// bit above the row is a wrap (capacity at most 2^63 bytes).
+    fn of(col_bytes: u32, columns: u32, banks: u32, ranks: u32, rows: u32) -> Self {
         let log2 = |n: u32| n.trailing_zeros();
-        let column_shift = col_bytes.trailing_zeros();
+        let column_shift = log2(col_bytes);
         let bank_shift = column_shift + log2(columns);
         let bank_bits = log2(banks) + log2(ranks);
         let row_shift = bank_shift + bank_bits;
-        if bank_bits > 31 || row_shift + log2(rows) > 63 {
-            return None;
-        }
+        assert!(bank_bits <= 31, "more than 2^31 banks");
+        assert!(
+            row_shift + log2(rows) <= 63,
+            "capacity must fit in 63 address bits"
+        );
         let mask = |bits: u32| (1u32 << bits) - 1;
-        Some(AddrBits {
+        AddrBits {
             column_shift: column_shift as u8,
             bank_shift: bank_shift as u8,
             row_shift: row_shift as u8,
@@ -311,7 +279,7 @@ impl AddrBits {
             bank_index_mask: mask(bank_bits),
             bank_mask: banks - 1,
             row_mask: rows - 1,
-        })
+        }
     }
 }
 
@@ -391,18 +359,17 @@ mod tests {
         }
     }
 
-    /// `decode` equals the div/mod mapping, wrap past the capacity
-    /// included, on the inlined shift path (two power-of-two shapes) and
-    /// the out-of-line path (a row count, and a rank, bank and column
-    /// count, that are not powers of two); its bank index and flat row
-    /// are `bank_index` and `flatten` of that mapping.
+    /// `decode` equals the div/mod mapping, kept here as the oracle, wrap
+    /// past the capacity included, on the two paper shapes and two small
+    /// ones (short rows; four ranks of eight narrow banks); its bank index
+    /// and flat row are `bank_index` and `flatten` of that mapping.
     #[test]
     fn decode_matches_the_div_mod_mapping() {
         for g in [
             table1_2gb(),
             table2_3d(),
-            Geometry::new(2, 4, 37, 16, 64),
-            Geometry::new(3, 5, 16, 6, 64),
+            Geometry::new(2, 4, 32, 16, 64),
+            Geometry::new(4, 8, 16, 8, 64),
         ] {
             let col_unit = g.column_bytes();
             let mut rng = crate::rng::Rng::seed_from_u64(5);
@@ -441,21 +408,48 @@ mod tests {
         assert_eq!(next_bank.row_addr.row, 0);
     }
 
-    /// Both `unflatten` paths: the shift path (power-of-two rows and
-    /// banks) and the div/mod path (odd rows, odd banks, or both).
     #[test]
     fn flatten_unflatten_roundtrip() {
         for g in [
             Geometry::new(2, 4, 8, 4, 64),
-            Geometry::new(3, 5, 37, 4, 64),
-            Geometry::new(2, 3, 16, 4, 64),
-            Geometry::new(3, 4, 10, 4, 64),
+            Geometry::new(4, 8, 32, 4, 64),
+            Geometry::new(2, 2, 16, 4, 64),
+            Geometry::new(4, 4, 8, 4, 64),
         ] {
             for i in 0..g.total_rows() {
                 let ra = g.unflatten(i);
                 assert!(ra.rank < g.ranks() && ra.bank < g.banks() && ra.row < g.rows());
                 assert_eq!(g.flatten(ra), i, "{g}");
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must be a power of two, got 37")]
+    fn new_rejects_a_dimension_that_is_not_a_power_of_two() {
+        Geometry::new(2, 4, 37, 16, 64);
+    }
+
+    /// Every dimension, the column width and the 63-bit capacity bound
+    /// are checked.
+    #[test]
+    fn new_rejects_every_shape_off_the_contract() {
+        for (ranks, banks, rows, columns, data_bits) in [
+            (3, 4, 16, 4, 64),
+            (2, 5, 16, 4, 64),
+            (2, 4, 16, 6, 64),
+            (2, 4, 0, 4, 64),
+            (2, 4, 16, 4, 72),
+            (2, 4, 16, 4, 4),
+            (1 << 16, 1 << 16, 1, 1, 8),
+            (1, 1, 1 << 31, 1 << 31, 64),
+        ] {
+            let built =
+                std::panic::catch_unwind(|| Geometry::new(ranks, banks, rows, columns, data_bits));
+            assert!(
+                built.is_err(),
+                "{ranks}x{banks}x{rows}x{columns}x{data_bits}"
+            );
         }
     }
 

@@ -7,19 +7,14 @@
 //! `(rank, bank, row)` and [`RetentionTracker::violations`] reports any row
 //! whose data would have decayed.
 //!
-//! The tracker also builds a histogram of inter-restore intervals, which is
-//! what the paper's *optimality* metric (§4.4) is computed from: a scheme is
-//! 100% optimal if every row is restored exactly at the retention deadline,
-//! never earlier.
+//! The tracker's [`summary`](RetentionTracker::summary) gives the mean
+//! inter-restore interval, which is what the paper's *optimality* metric
+//! (§4.4) is computed from: a scheme is 100% optimal if every row is
+//! restored exactly at the retention deadline, never earlier.
 
 use crate::deadline::DeadlineIndex;
 use crate::geometry::Geometry;
 use crate::time::{Duration, Instant};
-
-/// Width of one interval-histogram bucket. A compile-time constant so the
-/// per-restore bucket computation is a multiply-shift, not a 64-bit divide —
-/// `restore` runs once per activate and once per refreshed row.
-const HIST_BUCKET: Duration = Duration::from_ms(1);
 
 /// Records the last charge-restore instant for every row of a module.
 ///
@@ -44,8 +39,6 @@ pub struct RetentionTracker {
     /// Optional per-row deadlines (variable retention); `retention` is the
     /// worst case and the default for every row.
     per_row: Option<Vec<Duration>>,
-    /// Histogram of inter-restore intervals, in 1 ms buckets.
-    interval_hist: Vec<u64>,
     restores: u64,
     /// Restores that arrived *after* the row's deadline — each one is a
     /// data-loss window that actually happened (the row sat decayed until
@@ -93,12 +86,10 @@ impl RetentionTracker {
     /// refresh sweep completed at power-up).
     pub fn new(geometry: &Geometry, retention: Duration) -> Self {
         assert!(!retention.is_zero(), "retention must be nonzero");
-        let buckets = 2 * (retention.as_ps() / 1_000_000_000).max(1) as usize + 2;
         RetentionTracker {
             last_restore: vec![Instant::ZERO; geometry.total_rows() as usize],
             retention,
             per_row: None,
-            interval_hist: vec![0; buckets],
             restores: 0,
             late_restores: Vec::new(),
             deadline_index: None,
@@ -216,9 +207,6 @@ impl RetentionTracker {
         let interval = now.since(*slot);
         *slot = now;
         self.restores += 1;
-        let bucket = (interval.as_ps() / HIST_BUCKET.as_ps()) as usize;
-        let top = self.interval_hist.len() - 1;
-        self.interval_hist[bucket.min(top)] += 1;
         let deadline = self.row_deadline(flat_index);
         if interval > deadline {
             self.late_restores.push(LateRestore {
@@ -313,27 +301,23 @@ impl RetentionTracker {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// Histogram of inter-restore intervals (1 ms buckets; the last bucket
-    /// aggregates everything beyond 2x the retention deadline).
-    pub fn interval_histogram(&self) -> &[u64] {
-        &self.interval_hist
-    }
-
     /// Summary statistics, including the paper's optimality metric: the mean
     /// inter-restore interval divided by the retention deadline.
+    ///
+    /// The mean is exact. A row's intervals telescope to its last restore
+    /// instant (every row starts restored at time zero, and an out-of-order
+    /// restore is ignored), so the intervals sum to the sum of
+    /// `last_restore` over the rows.
     pub fn summary(&self) -> RetentionSummary {
-        let total: u64 = self.interval_hist.iter().sum();
-        let mean_ps = if total == 0 {
+        let mean_ps = if self.restores == 0 {
             0.0
         } else {
-            // Use bucket midpoints; adequate at 1 ms resolution vs 64 ms scales.
-            let weighted: f64 = self
-                .interval_hist
+            let total: u128 = self
+                .last_restore
                 .iter()
-                .enumerate()
-                .map(|(i, &c)| (i as f64 + 0.5) * HIST_BUCKET.as_ps() as f64 * c as f64)
+                .map(|t| u128::from(t.as_ps()))
                 .sum();
-            weighted / total as f64
+            total as f64 / self.restores as f64
         };
         RetentionSummary {
             restores: self.restores,
@@ -399,12 +383,7 @@ mod tests {
         }
         let s = t.summary();
         assert_eq!(s.restores, 80);
-        // 64 ms intervals land in the 64 ms bucket whose midpoint is 64.5 ms.
-        assert!(
-            (s.optimality - 1.0).abs() < 0.02,
-            "optimality {}",
-            s.optimality
-        );
+        assert_eq!(s.optimality, 1.0);
     }
 
     #[test]
@@ -417,12 +396,7 @@ mod tests {
                 t.restore(i, now);
             }
         }
-        let s = t.summary();
-        assert!(
-            (s.optimality - 0.5).abs() < 0.02,
-            "optimality {}",
-            s.optimality
-        );
+        assert_eq!(t.summary().optimality, 0.5);
     }
 
     #[test]
@@ -483,8 +457,8 @@ mod tests {
         use crate::profile::RetentionProfile;
         use crate::rng::Rng;
 
-        // 3 banks x 37 rows: 111 rows, not a power of two.
-        let g = Geometry::new(1, 3, 37, 4, 64);
+        // 4 banks x 32 rows: 128 rows.
+        let g = Geometry::new(1, 4, 32, 4, 64);
         let rows = g.total_rows();
         let mut rng = Rng::seed_from_u64(0x0dea_d11e);
         // `eager` is queried from the start; `lazy` builds its index only
@@ -654,11 +628,32 @@ mod tests {
         );
     }
 
+    /// The mean over a hand-computed schedule. On 8 rows with a 64 ms
+    /// deadline: row 0 restored at 10, 30 and 100 ms (intervals 10, 20,
+    /// 70), row 1 at 64 ms, and row 2 at 40 ms, then at 20 ms (out of
+    /// order, ignored), then again at 40 ms (a zero interval). Six
+    /// restores whose intervals sum to 100 + 64 + 40 = 204 ms: a mean of
+    /// 34 ms.
     #[test]
-    fn histogram_top_bucket_catches_outliers() {
-        let mut t = RetentionTracker::new(&small(), Duration::from_ms(4));
-        t.restore(0, Instant::ZERO + Duration::from_ms(100));
-        let hist = t.interval_histogram();
-        assert_eq!(*hist.last().unwrap(), 1);
+    fn summary_mean_is_exact_on_a_hand_computed_schedule() {
+        let mut t = RetentionTracker::new(&small(), Duration::from_ms(64));
+        let ms = |n: u64| Instant::ZERO + Duration::from_ms(n);
+        for (row, at) in [
+            (0, 10),
+            (0, 30),
+            (1, 64),
+            (2, 40),
+            (2, 20),
+            (2, 40),
+            (0, 100),
+        ] {
+            t.restore(row, ms(at));
+        }
+        let s = t.summary();
+        assert_eq!(s.restores, 6);
+        assert_eq!(s.mean_interval_s, 34_000_000_000.0 * 1e-12);
+        assert_eq!(s.optimality, 34.0 / 64.0);
+        let empty = RetentionTracker::new(&small(), Duration::from_ms(64)).summary();
+        assert_eq!((empty.restores, empty.mean_interval_s), (0, 0.0));
     }
 }

@@ -45,11 +45,6 @@ impl OpStats {
         self.cbr_refreshes + self.ras_only_refreshes
     }
 
-    /// Total column accesses (reads + writes).
-    pub fn column_accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Difference of two snapshots (`self` later minus `earlier`), used for
     /// excluding warm-up periods from measurements.
     pub fn delta_since(&self, earlier: &OpStats) -> OpStats {
@@ -99,6 +94,5 @@ mod tests {
         let d = late.delta_since(&early);
         assert_eq!(d.reads, 15);
         assert_eq!(d.writes, 6);
-        assert_eq!(d.column_accesses(), 21);
     }
 }

@@ -110,17 +110,6 @@ impl Duration {
         Duration(ms * 1_000_000_000)
     }
 
-    /// Creates a duration from a float number of nanoseconds, rounding to the
-    /// nearest picosecond. Useful for datasheet values such as `tRFC = 127.5 ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns` is negative or not finite.
-    pub fn from_ns_f64(ns: f64) -> Self {
-        assert!(ns.is_finite() && ns >= 0.0, "duration must be non-negative");
-        Duration((ns * 1_000.0).round() as u64)
-    }
-
     /// Returns the raw picosecond value.
     pub const fn as_ps(self) -> u64 {
         self.0
@@ -305,12 +294,6 @@ mod tests {
         assert_eq!(Duration::from_us(1).as_ps(), 1_000_000);
         assert_eq!(Duration::from_ms(1).as_ps(), 1_000_000_000);
         assert_eq!(Duration::from_ms(64).as_secs_f64(), 0.064);
-    }
-
-    #[test]
-    fn fractional_ns_rounds_to_ps() {
-        assert_eq!(Duration::from_ns_f64(127.5).as_ps(), 127_500);
-        assert_eq!(Duration::from_ns_f64(0.0), Duration::ZERO);
     }
 
     #[test]

@@ -5,11 +5,10 @@ use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::{DramDevice, Geometry, RetentionProfile, RowAddr, TimingParams};
 
+/// A power-of-two shape: up to 2 ranks, 8 banks, 64 rows and 32 columns.
 fn sample_geometry(rng: &mut Rng) -> Geometry {
-    let ranks = rng.gen_range(1u32..3);
-    let banks = rng.gen_range(1u32..9);
-    let rows = rng.gen_range(1u32..65);
-    let cols = rng.gen_range(1u32..33);
+    let mut pow2 = |max_log2: u32| 1u32 << rng.gen_range(0..max_log2 + 1);
+    let (ranks, banks, rows, cols) = (pow2(1), pow2(3), pow2(6), pow2(5));
     Geometry::new(ranks, banks, rows, cols, 64)
 }
 
@@ -72,7 +71,7 @@ fn decode_is_consistent_with_row_blocks() {
 fn retention_violations_are_exact() {
     let mut rng = Rng::seed_from_u64(0xd4a0_0004);
     for _ in 0..32 {
-        let rows = rng.gen_range(1u32..33);
+        let rows = 1u32 << rng.gen_range(0u32..6);
         let restore_ms: Vec<u64> = (0..rows).map(|_| rng.gen_range(0u64..100)).collect();
         let check_ms = rng.gen_range(0u64..200);
         let g = Geometry::new(1, 1, rows, 4, 64);

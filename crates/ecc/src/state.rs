@@ -70,11 +70,6 @@ impl EccMemory {
         }
     }
 
-    /// Number of flipped bits currently afflicting the row.
-    pub fn flip_count(&self, flat_index: u64) -> u32 {
-        self.flips.get(&flat_index).map_or(0, |m| m.count_ones())
-    }
-
     /// Decodes the row's representative word as the controller would see
     /// it on a read or scrub.
     ///
@@ -103,21 +98,16 @@ impl EccMemory {
     pub fn clear(&mut self, flat_index: u64) {
         self.flips.remove(&flat_index);
     }
-
-    /// Flat indices of all rows currently carrying at least one flip.
-    pub fn dirty_rows(&self) -> impl Iterator<Item = u64> + '_ {
-        self.flips.keys().copied()
-    }
-
-    /// Total number of rows carrying at least one flip.
-    pub fn dirty_len(&self) -> usize {
-        self.flips.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of flipped bits currently afflicting the row.
+    fn flip_count(mem: &EccMemory, flat_index: u64) -> u32 {
+        mem.flips.get(&flat_index).map_or(0, |m| m.count_ones())
+    }
 
     /// The codec-free clean read gives exactly what the codec would: a
     /// seeded sweep of flat indices (both ends of the range included)
@@ -156,7 +146,7 @@ mod tests {
         mem.inject_flips(5, 1);
         assert!(matches!(mem.read(5), Decode::Corrected { .. }));
         mem.inject_flips(5, 1);
-        assert_eq!(mem.flip_count(5), 2);
+        assert_eq!(flip_count(&mem, 5), 2);
         assert_eq!(mem.read(5), Decode::Uncorrectable);
     }
 
@@ -177,7 +167,7 @@ mod tests {
         assert_eq!(mem.read(7), Decode::Uncorrectable);
         mem.clear(7);
         assert!(matches!(mem.read(7), Decode::Clean { .. }));
-        assert_eq!(mem.dirty_len(), 0);
+        assert_eq!(mem.flips.len(), 0);
         for bits in [1, 5] {
             mem.inject_flips(7, bits);
             assert!(!matches!(mem.read(7), Decode::Clean { .. }), "{bits} flips");
@@ -193,15 +183,15 @@ mod tests {
         for _ in 0..10 {
             mem.inject_flips(3, 1);
         }
-        assert_eq!(mem.flip_count(3), 10);
-        assert_eq!(mem.dirty_rows().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(flip_count(&mem, 3), 10);
+        assert_eq!(mem.flips.keys().copied().collect::<Vec<_>>(), vec![3]);
     }
 
     #[test]
     fn saturation_stops_at_code_width() {
         let mut mem = EccMemory::new(6);
         mem.inject_flips(0, 200);
-        assert_eq!(mem.flip_count(0), CODE_BITS);
+        assert_eq!(flip_count(&mem, 0), CODE_BITS);
     }
 
     #[test]

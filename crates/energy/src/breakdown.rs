@@ -134,11 +134,6 @@ impl ChannelScrubEnergy {
         }
     }
 
-    /// Scrub energy of one channel, joules.
-    pub fn channel_j(&self, i: usize) -> f64 {
-        self.per_channel_j[i]
-    }
-
     /// System-wide scrub energy, joules — the value that belongs in
     /// [`EnergyBreakdown::scrub_j`].
     pub fn total_j(&self) -> f64 {
@@ -291,8 +286,8 @@ mod tests {
     #[test]
     fn channel_scrub_energy_attributes_per_channel() {
         let e = ChannelScrubEnergy::from_counts(&[100, 0, 50], 2e-9);
-        assert!((e.channel_j(0) - 200e-9).abs() < 1e-15);
-        assert_eq!(e.channel_j(1), 0.0);
+        assert!((e.per_channel_j[0] - 200e-9).abs() < 1e-15);
+        assert_eq!(e.per_channel_j[1], 0.0);
         assert!((e.total_j() - 300e-9).abs() < 1e-15);
         // The total is what EnergyBreakdown charges as scrub_j.
         let bd = EnergyBreakdown {

@@ -773,17 +773,6 @@ impl FaultInjector {
             *pressure = 0;
         }
     }
-
-    /// True when any drop, delay, or stall spec exists (the injector can
-    /// perturb the dispatch path at all).
-    pub fn perturbs_dispatch(&self) -> bool {
-        self.specs.iter().any(|s| {
-            matches!(
-                s.kind,
-                FaultKind::DropRefresh | FaultKind::DelayRefresh { .. } | FaultKind::StallDispatch
-            )
-        })
-    }
 }
 
 #[cfg(test)]
@@ -909,7 +898,6 @@ mod tests {
             inj.perturb_refresh(row(0, 1, 3), Instant::ZERO),
             Perturbation::Pass
         );
-        assert!(!inj.perturbs_dispatch());
     }
 
     #[test]
@@ -1201,7 +1189,6 @@ mod tests {
     #[test]
     fn disturbance_never_perturbs_dispatch() {
         let mut inj = FaultInjector::new().with_disturbance(FaultSite::ANY, 4, 1, 0);
-        assert!(!inj.perturbs_dispatch());
         assert!(inj.has_disturbance());
         assert_eq!(
             inj.perturb_refresh(row(0, 0, 1), Instant::ZERO),
@@ -1277,8 +1264,8 @@ mod tests {
             bank: Some(1),
             row: None,
         };
-        let small = Geometry::new(1, 2, 24, 4, 64);
-        let large = Geometry::new(2, 2, 40, 4, 64);
+        let small = Geometry::new(1, 2, 16, 4, 64);
+        let large = Geometry::new(2, 2, 32, 4, 64);
         let mut inj = FaultInjector::new().with_disturbance(site, 3, 1, 0x5eed);
         let mut model = PressureMapModel::new(site, 3, 1, 0x5eed);
         let mut rng = Rng::seed_from_u64(0x0dd_ba11);

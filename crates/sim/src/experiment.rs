@@ -76,13 +76,8 @@ impl PolicyKind {
         }
     }
 
-    /// Builds the boxed policy instance for a module (used directly by
-    /// multi-channel systems; `run_experiment` calls it internally).
-    pub fn build_boxed(&self, module: &ModuleConfig) -> Box<dyn RefreshPolicy> {
-        self.build(module)
-    }
-
-    fn build(&self, module: &ModuleConfig) -> Box<dyn RefreshPolicy> {
+    /// Builds the boxed policy instance for a module.
+    pub fn build(&self, module: &ModuleConfig) -> Box<dyn RefreshPolicy> {
         let g = module.geometry;
         let r = module.timing.retention;
         match *self {

@@ -261,11 +261,6 @@ impl Evaluation {
         self
     }
 
-    /// Whether the 3D-stacked corpora run with the ECC stack.
-    pub fn ecc_enabled(&self) -> bool {
-        self.ecc
-    }
-
     /// The workload and CBR-baseline configuration of `entry`'s pair in
     /// corpus `id`; the Smart run differs only in its policy.
     fn pair_config(
@@ -538,7 +533,7 @@ mod tests {
             (&stacked_ecc, CorpusId::Stacked32Ms),
         ] {
             let (spec, base_cfg) = eval.pair_config(id, &entry);
-            assert_eq!(base_cfg.ecc.is_some(), eval.ecc_enabled(), "{id:?}");
+            assert_eq!(base_cfg.ecc.is_some(), eval.ecc, "{id:?}");
             let smart = SmartRefreshConfig::paper_defaults();
             let smart_cfg = ExperimentConfig {
                 policy: PolicyKind::Smart(smart),
@@ -580,7 +575,7 @@ mod tests {
                     "{id:?}: the L3 sent traffic behind it"
                 );
             }
-            if eval.ecc_enabled() {
+            if eval.ecc {
                 assert!(
                     b.ops.scrubs > 0 && s.ops.scrubs > 0,
                     "the ECC stack scrubbed"
@@ -592,9 +587,9 @@ mod tests {
     #[test]
     fn ecc_is_opt_in() {
         assert!(
-            !Evaluation::new().ecc_enabled(),
+            !Evaluation::new().ecc,
             "default keeps figures bit-identical"
         );
-        assert!(Evaluation::with_scale(0.5).with_ecc().ecc_enabled());
+        assert!(Evaluation::with_scale(0.5).with_ecc().ecc);
     }
 }

@@ -46,9 +46,8 @@ pub struct MultiChannelSystem {
     /// `log2(interleave_bytes)`: routing splits an address into block
     /// index and in-block offset with a shift and a mask.
     block_shift: u32,
-    /// `log2(channels)` when the channel count is a power of two, so the
-    /// channel is the block index's low bits; `None` routes by div/mod.
-    channel_shift: Option<u32>,
+    /// `log2(channels)`: the channel is the block index's low bits.
+    channel_shift: u32,
     /// Worker threads [`advance_to`](Self::advance_to) shards channels
     /// across (1 = sequential). Channels are independent simulations
     /// between coordination points and results merge in channel order, so
@@ -72,10 +71,9 @@ impl MultiChannelSystem {
     ///
     /// # Invariants
     ///
-    /// `channels` must be nonzero (an address space needs at least one
-    /// home) and `interleave_bytes` must be a power of two (the routing
-    /// arithmetic squeezes the channel bits out of the block index, which
-    /// is only a bijection for power-of-two block sizes).
+    /// `channels` and `interleave_bytes` must both be powers of two: the
+    /// channel is the low bits of the block index and the block offset the
+    /// low bits of the address, so routing is shifts and masks.
     ///
     /// # Errors
     ///
@@ -89,9 +87,9 @@ impl MultiChannelSystem {
     where
         F: FnMut() -> PolicyKind,
     {
-        if channels == 0 {
+        if !channels.is_power_of_two() {
             return Err(SimError::Config {
-                what: "a multi-channel system needs at least one channel",
+                what: "the channel count must be a power of two",
             });
         }
         if !interleave_bytes.is_power_of_two() {
@@ -102,16 +100,14 @@ impl MultiChannelSystem {
         let controllers = (0..channels)
             .map(|_| {
                 let device = crate::sanitize::device(module.geometry, module.timing);
-                MemoryController::new(device, policy_of().build_boxed(&module))
+                MemoryController::new(device, policy_of().build(&module))
             })
             .collect();
         Ok(MultiChannelSystem {
             controllers,
             interleave_bytes,
             block_shift: interleave_bytes.trailing_zeros(),
-            channel_shift: channels
-                .is_power_of_two()
-                .then(|| channels.trailing_zeros()),
+            channel_shift: channels.trailing_zeros(),
             threads: 1,
         })
     }
@@ -225,13 +221,8 @@ impl MultiChannelSystem {
     #[inline]
     pub fn route(&self, addr: u64) -> (usize, u64) {
         let block = addr >> self.block_shift;
-        let (channel, local_block) = match self.channel_shift {
-            Some(s) => ((block & ((1 << s) - 1)) as usize, block >> s),
-            None => {
-                let n = self.controllers.len() as u64;
-                ((block % n) as usize, block / n)
-            }
-        };
+        let channel = (block & ((1 << self.channel_shift) - 1)) as usize;
+        let local_block = block >> self.channel_shift;
         (
             channel,
             (local_block << self.block_shift) | (addr & (self.interleave_bytes - 1)),
@@ -250,11 +241,7 @@ impl MultiChannelSystem {
     pub fn global_addr(&self, channel: usize, local: u64) -> u64 {
         let n = self.controllers.len();
         assert!(channel < n, "channel {channel} out of range 0..{n}");
-        let local_block = local >> self.block_shift;
-        let block = match self.channel_shift {
-            Some(s) => (local_block << s) | channel as u64,
-            None => local_block * n as u64 + channel as u64,
-        };
+        let block = ((local >> self.block_shift) << self.channel_shift) | channel as u64;
         (block << self.block_shift) | (local & (self.interleave_bytes - 1))
     }
 
@@ -466,9 +453,11 @@ mod tests {
             MultiChannelSystem::new(mini(), 2, 3000, || PolicyKind::CbrDistributed),
             Err(SimError::Config { .. })
         ));
-        assert!(matches!(
-            MultiChannelSystem::new(mini(), 0, 4096, || PolicyKind::CbrDistributed),
-            Err(SimError::Config { .. })
-        ));
+        for channels in [0, 3] {
+            assert!(matches!(
+                MultiChannelSystem::new(mini(), channels, 4096, || PolicyKind::CbrDistributed),
+                Err(SimError::Config { .. })
+            ));
+        }
     }
 }

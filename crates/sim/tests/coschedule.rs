@@ -19,13 +19,11 @@ fn cfg() -> CoscheduleConfig {
 
 /// Channel address interleaving is a bijection: `route` and `global_addr`
 /// are exact inverses for every channel count and power-of-two interleave
-/// tried, over both dense low addresses and random high ones. Power-of-two
-/// channel counts route by shift and mask, the others (3) by div/mod, so
-/// both routing paths are covered.
+/// tried, over both dense low addresses and random high ones.
 #[test]
 fn channel_interleave_is_a_bijection() {
     let mut rng = Rng::seed_from_u64(0xB17E_C710);
-    for channels in [1u32, 2, 3, 4, 8] {
+    for channels in [1u32, 2, 4, 8] {
         for interleave in [64u64, 4096, 1 << 20] {
             let sys = MultiChannelSystem::new(conventional_2gb(), channels, interleave, || {
                 PolicyKind::CbrDistributed
@@ -62,7 +60,7 @@ fn channel_interleave_is_a_bijection() {
 /// Invalid constructions are reported as [`SimError::Config`], not panics.
 #[test]
 fn bad_system_configs_are_errors() {
-    for (channels, interleave) in [(0u32, 4096u64), (2, 0), (2, 3000), (4, 4097)] {
+    for (channels, interleave) in [(0u32, 4096u64), (3, 4096), (2, 0), (2, 3000), (4, 4097)] {
         match MultiChannelSystem::new(conventional_2gb(), channels, interleave, || {
             PolicyKind::CbrDistributed
         }) {

@@ -147,11 +147,6 @@ impl AccessGenerator {
         self.footprint_rows
     }
 
-    /// Mean access rate in accesses per second.
-    pub fn accesses_per_sec(&self) -> f64 {
-        1e12 / self.mean_gap_ps
-    }
-
     fn exponential_gap(&mut self) -> Duration {
         // Inverse-CDF sampling; clamp u away from 0 to avoid infinite gaps.
         let u: f64 = self.rng.gen_range(1e-12..1.0);
@@ -333,7 +328,7 @@ mod tests {
     fn access_rate_matches_calibration() {
         let s = spec(0.5, 0.5);
         let gen = AccessGenerator::new(&s, geometry(), Duration::from_ms(64), 0, 3);
-        let target = gen.accesses_per_sec();
+        let target = 1e12 / gen.mean_gap_ps;
         let n = 20_000;
         let mut g2 = gen;
         let mut last = Instant::ZERO;

@@ -172,11 +172,6 @@ impl HammerGenerator {
         v
     }
 
-    /// The attack's activate rate, per second.
-    pub fn acts_per_sec(&self) -> f64 {
-        1.0 / self.spec.act_gap.as_secs_f64()
-    }
-
     fn encode(&self, row: u32, column: u32) -> u64 {
         let g = &self.geometry;
         let blocks = ((u64::from(row) * u64::from(g.ranks()) + u64::from(self.spec.rank))
@@ -290,8 +285,9 @@ mod tests {
 
     #[test]
     fn pacing_matches_the_activate_gap() {
-        let gen = HammerGenerator::new(HammerSpec::double_sided(50), geometry(), 1);
-        let rate = gen.acts_per_sec();
+        let spec = HammerSpec::double_sided(50);
+        let rate = 1.0 / spec.act_gap.as_secs_f64();
+        let gen = HammerGenerator::new(spec, geometry(), 1);
         let events: Vec<_> = gen.take(100).collect();
         let span = events.last().unwrap().time.as_secs_f64();
         assert!((100.0 / span / rate - 1.0).abs() < 1e-9);

@@ -15,9 +15,9 @@
 //!
 //! let cfg = conventional_2gb();
 //! let gcc = &catalog()[17]; // or find("gcc")
-//! let gen = AccessGenerator::new(
+//! let mut gen = AccessGenerator::new(
 //!     &gcc.conventional, cfg.geometry, cfg.timing.retention, 0, 1);
-//! assert!(gen.accesses_per_sec() > 0.0);
+//! assert!(gen.next().is_some());
 //! ```
 
 pub mod calibrate;

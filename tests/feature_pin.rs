@@ -24,8 +24,8 @@
 
 use smart_refresh::core::{CounterPowerConfig, RefreshPolicy, SmartRefresh, SmartRefreshConfig};
 use smart_refresh::ctrl::{
-    DarpConfig, EccConfig, MemTransaction, MemoryController, PagePolicy, PowerDownConfig,
-    ScrubConfig, SimError, WatchdogConfig,
+    DarpConfig, EccConfig, MemTransaction, MemoryController, PagePolicy, ScrubConfig, SimError,
+    WatchdogConfig,
 };
 use smart_refresh::dram::time::{Duration, Instant};
 use smart_refresh::dram::{DramDevice, Geometry, ModuleConfig, Rng, RowAddr};
@@ -156,8 +156,6 @@ fn darp(module: &ModuleConfig) -> DarpConfig {
 fn ecc_patrol_and_watchdog_under_conservative_reset() {
     let m = mini();
     let mc = controller(&m)
-        .with_powerdown(Some(PowerDownConfig::default()))
-        .expect("power-down config")
         .with_counter_power(CounterPowerConfig::conservative_reset())
         .with_ecc(patrol(&m, 11));
     let got = run(mc, 0xfea7_0001);
