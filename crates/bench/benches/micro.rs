@@ -2,8 +2,9 @@
 //! walk (executed millions of times per simulated second), the pending
 //! queue, the DRAM command layer, the workload generator, the stacked-DRAM
 //! L3 cache, the SECDED read path, the hammer-pressure ACT hook, the
-//! scrubber's deadline-order victim query, and the end-to-end controller
-//! access path.
+//! scrubber's deadline-order victim query, the end-to-end controller
+//! access path, and the multi-channel system's access path with boxed
+//! and with statically dispatched channel policies.
 //!
 //! A self-contained `harness = false` timing loop (no external benchmark
 //! framework, so the workspace builds offline): each benchmark is warmed
@@ -13,14 +14,17 @@ use std::time::Instant as WallClock;
 
 use smartrefresh_cache::StackedDramCache;
 use smartrefresh_core::{
-    CounterArray, PendingRefreshQueue, RefreshPolicy, SmartRefresh, SmartRefreshConfig,
-    StaggerSchedule,
+    CbrDistributed, CounterArray, PendingRefreshQueue, RefreshPolicy, SmartRefresh,
+    SmartRefreshConfig, StaggerSchedule,
 };
 use smartrefresh_ctrl::{MemTransaction, MemoryController};
 use smartrefresh_dram::time::{Duration, Instant};
-use smartrefresh_dram::{DramDevice, Geometry, RetentionTracker, RowAddr, TimingParams};
+use smartrefresh_dram::{
+    DramDevice, Geometry, ModuleConfig, RetentionTracker, Rng, RowAddr, TimingParams,
+};
 use smartrefresh_ecc::EccMemory;
 use smartrefresh_faults::{FaultInjector, FaultSite};
+use smartrefresh_sim::{MultiChannelSystem, PolicyKind};
 use smartrefresh_workloads::{find, AccessGenerator};
 
 /// Unwraps a bench-step result without panicking machinery: a failure
@@ -295,6 +299,46 @@ fn bench_controller_access() {
     });
 }
 
+/// One seeded CBR access stream over four channels: a read to a random
+/// line every 20 ns. Run once through the boxed front door
+/// (`MultiChannelSystem::new`) and once through concrete channels
+/// (`MultiChannelSystem::with_policy`), so any gap between the two lines
+/// is the cost of the policy vtable on the system's access path.
+fn bench_system_access() {
+    fn stream<P: RefreshPolicy>(name: &str, mut sys: MultiChannelSystem<P>, capacity: u64) {
+        let mut rng = Rng::seed_from_u64(0x5157_0001);
+        let mut now = Instant::ZERO;
+        bench(name, 500_000, || {
+            now += Duration::from_ns(20);
+            let addr = rng.gen_range(0..capacity) & !63;
+            std::hint::black_box(must(sys.access(addr, false, now), "system access"));
+        });
+    }
+    let module = ModuleConfig {
+        name: "micro-4ch",
+        geometry: Geometry::new(1, 8, 4096, 64, 64),
+        timing: TimingParams::ddr2_667(),
+    };
+    let (g, r) = (module.geometry, module.timing.retention);
+    let capacity = g.capacity_bytes() * 4;
+    stream(
+        "system/access_boxed",
+        must(
+            MultiChannelSystem::new(module.clone(), 4, 4096, || PolicyKind::CbrDistributed),
+            "boxed system",
+        ),
+        capacity,
+    );
+    stream(
+        "system/access_static",
+        must(
+            MultiChannelSystem::with_policy(module, 4, 4096, || CbrDistributed::new(g, r)),
+            "static system",
+        ),
+        capacity,
+    );
+}
+
 fn main() {
     println!("{:<41} {:>13}  {:>14}", "benchmark", "mean", "throughput");
     bench_counter_array();
@@ -308,4 +352,5 @@ fn main() {
     bench_hammer();
     bench_retention_victim();
     bench_controller_access();
+    bench_system_access();
 }

@@ -81,17 +81,20 @@ impl DeadlineIndex {
 
     /// Re-keys `row` to deadline `at`, in either direction. A match whose
     /// winner comes out unchanged leaves every match above it unchanged
-    /// too, so the replay stops there. O(log rows).
+    /// too, so the replay stops there. The winner climbing the path is
+    /// carried along, so each level reads only the sibling's key. O(log
+    /// rows).
     ///
     /// # Panics
     ///
     /// Panics if `row` is not one of the tree's rows.
     pub fn set(&mut self, row: u64, at: Instant) {
         let mut n = self.leaf(row);
-        self.nodes[n] = Self::key(at, row);
+        let mut winner = Self::key(at, row);
+        self.nodes[n] = winner;
         while n > 1 {
+            winner = winner.min(self.nodes[n ^ 1]);
             n /= 2;
-            let winner = self.nodes[2 * n].min(self.nodes[2 * n + 1]);
             if self.nodes[n] == winner {
                 break;
             }

@@ -63,6 +63,28 @@ impl OpStats {
                 - earlier.sarp_overlapped_refreshes,
         }
     }
+
+    /// Sum of two sets of counters, field by field — the totals of two
+    /// devices (channels) side by side.
+    ///
+    /// Written as a struct literal so that a new field left unsummed fails
+    /// to compile.
+    pub fn add(&self, other: &OpStats) -> OpStats {
+        OpStats {
+            activates: self.activates + other.activates,
+            reads: self.reads + other.reads,
+            writes: self.writes + other.writes,
+            precharges: self.precharges + other.precharges,
+            cbr_refreshes: self.cbr_refreshes + other.cbr_refreshes,
+            ras_only_refreshes: self.ras_only_refreshes + other.ras_only_refreshes,
+            refreshes_closing_open_page: self.refreshes_closing_open_page
+                + other.refreshes_closing_open_page,
+            scrubs: self.scrubs + other.scrubs,
+            rfm_refreshes: self.rfm_refreshes + other.rfm_refreshes,
+            sarp_overlapped_refreshes: self.sarp_overlapped_refreshes
+                + other.sarp_overlapped_refreshes,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -94,5 +116,47 @@ mod tests {
         let d = late.delta_since(&early);
         assert_eq!(d.reads, 15);
         assert_eq!(d.writes, 6);
+    }
+
+    /// Every field gets a distinct value, so a field summed into the wrong
+    /// slot, or not summed at all, shows up.
+    #[test]
+    fn add_sums_every_field() {
+        let a = OpStats {
+            activates: 1,
+            reads: 2,
+            writes: 3,
+            precharges: 4,
+            cbr_refreshes: 5,
+            ras_only_refreshes: 6,
+            refreshes_closing_open_page: 7,
+            scrubs: 8,
+            rfm_refreshes: 9,
+            sarp_overlapped_refreshes: 10,
+        };
+        let b = OpStats {
+            activates: 100,
+            reads: 200,
+            writes: 300,
+            precharges: 400,
+            cbr_refreshes: 500,
+            ras_only_refreshes: 600,
+            refreshes_closing_open_page: 700,
+            scrubs: 800,
+            rfm_refreshes: 900,
+            sarp_overlapped_refreshes: 1_000,
+        };
+        let s = a.add(&b);
+        assert_eq!(s.activates, 101);
+        assert_eq!(s.reads, 202);
+        assert_eq!(s.writes, 303);
+        assert_eq!(s.precharges, 404);
+        assert_eq!(s.cbr_refreshes, 505);
+        assert_eq!(s.ras_only_refreshes, 606);
+        assert_eq!(s.refreshes_closing_open_page, 707);
+        assert_eq!(s.scrubs, 808);
+        assert_eq!(s.rfm_refreshes, 909);
+        assert_eq!(s.sarp_overlapped_refreshes, 1_010);
+        assert_eq!(s.delta_since(&b), a, "delta_since undoes add");
     }
 }

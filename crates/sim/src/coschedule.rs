@@ -33,6 +33,7 @@
 //! `smart-refresh study coschedule` prints the table and exits nonzero
 //! when any verdict fails; `crates/sim/tests/coschedule.rs` pins them.
 
+use smartrefresh_core::CbrDistributed;
 use smartrefresh_ctrl::{EccConfig, ScrubConfig, SimError, WatchdogConfig};
 use smartrefresh_dram::rng::Rng;
 use smartrefresh_dram::time::{Duration, Instant};
@@ -40,10 +41,9 @@ use smartrefresh_dram::{Geometry, ModuleConfig, TimingParams};
 use smartrefresh_energy::{ChannelScrubEnergy, DramPowerParams};
 use smartrefresh_faults::{FaultInjector, FaultKind, FaultSite, FaultSpec};
 
-use crate::experiment::PolicyKind;
 use crate::faults::addr_of;
 use crate::scheduler::{AdaptiveScrubConfig, MaintenanceScheduler, SchedulerConfig};
-use crate::system::MultiChannelSystem;
+use crate::system::{CbrSystem, MultiChannelSystem};
 
 /// How the campaign builds and drives its systems.
 #[derive(Debug, Clone)]
@@ -237,20 +237,16 @@ impl CoscheduleCampaignResult {
     }
 }
 
-fn build_system(
-    cfg: &CoscheduleConfig,
-    setup: Setup,
-    load: Load,
-) -> Result<MultiChannelSystem, SimError> {
+fn build_system(cfg: &CoscheduleConfig, setup: Setup, load: Load) -> Result<CbrSystem, SimError> {
     let retention = cfg.module.timing.retention;
     let covering = cfg.covering();
     let g = cfg.module.geometry;
     let weak: Vec<u64> = cfg.weak_rows();
-    let sys = MultiChannelSystem::new(
+    let sys = MultiChannelSystem::with_policy(
         cfg.module.clone(),
         cfg.channels,
         cfg.interleave_bytes,
-        || PolicyKind::CbrDistributed,
+        || CbrDistributed::new(g, retention),
     )?
     .with_ecc(|i| {
         let ecc = EccConfig::new(cfg.seed ^ i as u64);
@@ -284,7 +280,7 @@ fn build_system(
 
 fn scheduler_for(
     cfg: &CoscheduleConfig,
-    sys: &MultiChannelSystem,
+    sys: &CbrSystem,
     load: Load,
 ) -> Result<MaintenanceScheduler, SimError> {
     let adaptive = cfg.adaptive();
@@ -329,12 +325,8 @@ fn drive(
     cfg: &CoscheduleConfig,
     setup: Setup,
     load: Load,
-    mut advance: impl FnMut(
-        &mut MaintenanceScheduler,
-        &mut MultiChannelSystem,
-        Instant,
-    ) -> Result<(), SimError>,
-) -> Result<(MultiChannelSystem, Option<MaintenanceScheduler>), SimError> {
+    mut advance: impl FnMut(&mut MaintenanceScheduler, &mut CbrSystem, Instant) -> Result<(), SimError>,
+) -> Result<(CbrSystem, Option<MaintenanceScheduler>), SimError> {
     let g = cfg.module.geometry;
     let mut sys = build_system(cfg, setup, load)?;
     let mut sched = match setup {
@@ -387,7 +379,7 @@ fn outcome(
     cfg: &CoscheduleConfig,
     setup: Setup,
     load: Load,
-    sys: &MultiChannelSystem,
+    sys: &CbrSystem,
     sched: Option<&MaintenanceScheduler>,
 ) -> CoscheduleOutcome {
     let horizon = Instant::ZERO + cfg.horizon();

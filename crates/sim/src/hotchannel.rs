@@ -40,15 +40,15 @@
 //! [`OpStats::refreshes_closing_open_page`]: smartrefresh_dram::OpStats::refreshes_closing_open_page
 //! [`DramDevice::enable_subarrays`]: smartrefresh_dram::DramDevice::enable_subarrays
 
+use smartrefresh_core::CbrDistributed;
 use smartrefresh_ctrl::{DarpConfig, DarpStats, EccConfig, ScrubConfig, SimError, WatchdogConfig};
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::{Geometry, ModuleConfig, TimingParams};
 use smartrefresh_energy::DramPowerParams;
 
-use crate::experiment::PolicyKind;
 use crate::faults::addr_of;
 use crate::scheduler::{MaintenanceScheduler, SchedulerConfig, SkewConfig};
-use crate::system::MultiChannelSystem;
+use crate::system::{CbrSystem, MultiChannelSystem};
 
 /// Fraction of a full row-refresh energy a SARP overlap pays *on top of*
 /// the refresh itself: the subarray-local wordline drivers and the extra
@@ -247,12 +247,13 @@ impl HotChannelCampaignResult {
     }
 }
 
-fn build_system(cfg: &HotChannelConfig, setup: HotSetup) -> Result<MultiChannelSystem, SimError> {
-    let sys = MultiChannelSystem::new(
+fn build_system(cfg: &HotChannelConfig, setup: HotSetup) -> Result<CbrSystem, SimError> {
+    let (g, retention) = (cfg.module.geometry, cfg.module.timing.retention);
+    let sys = MultiChannelSystem::with_policy(
         cfg.module.clone(),
         cfg.channels,
         cfg.interleave_bytes,
-        || PolicyKind::CbrDistributed,
+        || CbrDistributed::new(g, retention),
     )?
     .with_ecc(|i| EccConfig::new(cfg.seed ^ i as u64).with_ce_export())
     // Pages stay pinned until a refresh, scrub, or conflict closes them.
@@ -268,7 +269,7 @@ fn build_system(cfg: &HotChannelConfig, setup: HotSetup) -> Result<MultiChannelS
 
 fn scheduler_for(
     cfg: &HotChannelConfig,
-    sys: &MultiChannelSystem,
+    sys: &CbrSystem,
     setup: HotSetup,
 ) -> Result<MaintenanceScheduler, SimError> {
     MaintenanceScheduler::new(

@@ -39,7 +39,7 @@
 //! scheduler replays every scrub slot and watchdog epoch due since the
 //! last call, in chronological order.
 
-use smartrefresh_core::DegradeCause;
+use smartrefresh_core::{DegradeCause, RefreshPolicy};
 use smartrefresh_ctrl::{PatrolScrubber, RetentionWatchdog, ScrubConfig, SimError, WatchdogConfig};
 use smartrefresh_dram::deadline::DeadlineIndex;
 use smartrefresh_dram::time::{Duration, Instant};
@@ -174,7 +174,10 @@ impl MaintenanceScheduler {
     /// a zero slot interval implied by `adaptive.min_interval`, or an
     /// adaptive config whose `clean_ces` is not below `storm_ces` (no dead
     /// band).
-    pub fn new(sys: &MultiChannelSystem, cfg: SchedulerConfig) -> Result<Self, SimError> {
+    pub fn new<P: RefreshPolicy>(
+        sys: &MultiChannelSystem<P>,
+        cfg: SchedulerConfig,
+    ) -> Result<Self, SimError> {
         if cfg.scrub.interval == Duration::ZERO {
             return Err(SimError::Config {
                 what: "scrub interval must be non-zero",
@@ -304,7 +307,11 @@ impl MaintenanceScheduler {
     ///
     /// Propagates [`SimError`] from the channels' scrub issue paths.
     #[inline]
-    pub fn advance(&mut self, sys: &mut MultiChannelSystem, t: Instant) -> Result<(), SimError> {
+    pub fn advance<P: RefreshPolicy>(
+        &mut self,
+        sys: &mut MultiChannelSystem<P>,
+        t: Instant,
+    ) -> Result<(), SimError> {
         if t < self.quiet_until {
             debug_assert!(t < self.next_due(), "skipped advance({t:?}) had work due");
             return Ok(());
@@ -313,8 +320,15 @@ impl MaintenanceScheduler {
     }
 
     /// The body of [`advance`](Self::advance) once a slot or epoch is due
-    /// by `t`; ends by caching the next nothing-due bound.
-    fn run_due(&mut self, sys: &mut MultiChannelSystem, t: Instant) -> Result<(), SimError> {
+    /// by `t`; ends by caching the next nothing-due bound. Kept out of
+    /// line so that `advance` stays small enough to inline into the
+    /// per-access driver loops, most of whose calls return early.
+    #[inline(never)]
+    fn run_due<P: RefreshPolicy>(
+        &mut self,
+        sys: &mut MultiChannelSystem<P>,
+        t: Instant,
+    ) -> Result<(), SimError> {
         self.drain_ces(sys);
         loop {
             let next_scrub = self
@@ -352,7 +366,7 @@ impl MaintenanceScheduler {
 
     /// Moves every channel's exported CEs into the shared watchdog under
     /// their global row keys.
-    pub(crate) fn drain_ces(&mut self, sys: &mut MultiChannelSystem) {
+    pub(crate) fn drain_ces<P: RefreshPolicy>(&mut self, sys: &mut MultiChannelSystem<P>) {
         for i in 0..sys.channels() {
             for flat in sys.channel_mut(i).drain_ce_rows() {
                 self.watchdog
@@ -363,9 +377,9 @@ impl MaintenanceScheduler {
     }
 
     /// One patrol slot on `channel`: pick the victim, scrub it, reschedule.
-    fn run_slot(
+    fn run_slot<P: RefreshPolicy>(
         &mut self,
-        sys: &mut MultiChannelSystem,
+        sys: &mut MultiChannelSystem<P>,
         channel: usize,
         slot: Instant,
     ) -> Result<(), SimError> {
@@ -398,7 +412,12 @@ impl MaintenanceScheduler {
     /// interval so the slot never skips a period and coverage promises
     /// hold. No-op when the channel runs no burst tracker or its histogram
     /// is flat (no bursts observed — the static stagger is already fine).
-    fn apply_skew(&mut self, sys: &MultiChannelSystem, channel: usize, skew: SkewConfig) {
+    fn apply_skew<P: RefreshPolicy>(
+        &mut self,
+        sys: &MultiChannelSystem<P>,
+        channel: usize,
+        skew: SkewConfig,
+    ) {
         let Some(tracker) = sys.channel(channel).burst_tracker() else {
             return;
         };
@@ -434,9 +453,9 @@ impl MaintenanceScheduler {
     /// rather than re-scanning or probing rows one by one. The winners
     /// are bit-identical to linear `min_by_key(|r| (deadline, r))` scans —
     /// the tree's contract, enforced by its oracle test.
-    fn pick_victim(
+    fn pick_victim<P: RefreshPolicy>(
         &mut self,
-        sys: &MultiChannelSystem,
+        sys: &MultiChannelSystem<P>,
         channel: usize,
         slot: Instant,
     ) -> Option<u64> {
@@ -480,7 +499,11 @@ impl MaintenanceScheduler {
     /// One shared-watchdog epoch: audit the buckets, force-scrub flagged
     /// rows on their owning channels, escalate if violations persisted,
     /// and run the adaptive interval law on the epoch's CE count.
-    fn run_epoch(&mut self, sys: &mut MultiChannelSystem, epoch: Instant) -> Result<(), SimError> {
+    fn run_epoch<P: RefreshPolicy>(
+        &mut self,
+        sys: &mut MultiChannelSystem<P>,
+        epoch: Instant,
+    ) -> Result<(), SimError> {
         self.drain_ces(sys);
         let flagged = self.watchdog.audit(epoch);
         for global in flagged {

@@ -7,7 +7,7 @@
 //! array over its own rows. [`MultiChannelSystem`] provides that substrate
 //! and checks that the composition preserves every per-channel guarantee.
 
-use smartrefresh_core::RefreshPolicy;
+use smartrefresh_core::{CbrDistributed, RefreshPolicy};
 use smartrefresh_ctrl::{
     AccessResult, ControllerStats, DarpConfig, EccConfig, MemTransaction, MemoryController,
     SimError,
@@ -23,6 +23,13 @@ use crate::experiment::PolicyKind;
 /// Consecutive `interleave_bytes`-sized blocks rotate across channels; the
 /// per-channel address is the global address with the channel bits squeezed
 /// out, so each channel sees a dense local space.
+///
+/// Every channel runs the same policy type `P`. The default,
+/// `Box<dyn RefreshPolicy>`, is what [`new`](MultiChannelSystem::new)
+/// builds from a [`PolicyKind`]; [`with_policy`](MultiChannelSystem::with_policy)
+/// takes a concrete policy instead, so every policy hook on the access
+/// and maintenance paths is a direct, inlinable call rather than a
+/// virtual one.
 ///
 /// # Examples
 ///
@@ -40,8 +47,24 @@ use crate::experiment::PolicyKind;
 /// assert_eq!(sys.channels(), 2);
 /// # Ok::<(), smartrefresh_ctrl::SimError>(())
 /// ```
-pub struct MultiChannelSystem {
-    controllers: Vec<MemoryController<Box<dyn RefreshPolicy>>>,
+///
+/// The same system with statically dispatched channels:
+///
+/// ```
+/// use smartrefresh_core::CbrDistributed;
+/// use smartrefresh_dram::configs::conventional_2gb;
+/// use smartrefresh_dram::time::Instant;
+/// use smartrefresh_sim::system::MultiChannelSystem;
+///
+/// let module = conventional_2gb();
+/// let (g, r) = (module.geometry, module.timing.retention);
+/// let mut sys = MultiChannelSystem::with_policy(module, 2, 4096, || CbrDistributed::new(g, r))?;
+/// sys.access(4096, false, Instant::ZERO)?;   // channel 1
+/// assert_eq!(sys.channel(1).stats().transactions, 1);
+/// # Ok::<(), smartrefresh_ctrl::SimError>(())
+/// ```
+pub struct MultiChannelSystem<P: RefreshPolicy = Box<dyn RefreshPolicy>> {
+    controllers: Vec<MemoryController<P>>,
     interleave_bytes: u64,
     /// `log2(interleave_bytes)`: routing splits an address into block
     /// index and in-block offset with a shift and a mask.
@@ -55,7 +78,11 @@ pub struct MultiChannelSystem {
     threads: usize,
 }
 
-impl std::fmt::Debug for MultiChannelSystem {
+/// A system of distributed-CBR channels, the policy the maintenance
+/// campaigns (hot channel, co-scheduling) run on every channel.
+pub(crate) type CbrSystem = MultiChannelSystem<CbrDistributed>;
+
+impl<P: RefreshPolicy> std::fmt::Debug for MultiChannelSystem<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiChannelSystem")
             .field("channels", &self.controllers.len())
@@ -65,9 +92,35 @@ impl std::fmt::Debug for MultiChannelSystem {
 }
 
 impl MultiChannelSystem {
-    /// Builds `channels` identical channels of `module`, each with a policy
-    /// produced by `policy_of` (called once per channel, so policies can be
-    /// independently seeded).
+    /// Builds `channels` identical channels of `module`, each with the
+    /// boxed policy `policy_of` names (called once per channel, so
+    /// policies can be independently seeded) — the front door for callers
+    /// that pick the policy at run time. See
+    /// [`with_policy`](MultiChannelSystem::with_policy) for the invariants.
+    ///
+    /// # Errors
+    ///
+    /// As [`with_policy`](MultiChannelSystem::with_policy).
+    pub fn new<F>(
+        module: ModuleConfig,
+        channels: u32,
+        interleave_bytes: u64,
+        mut policy_of: F,
+    ) -> Result<Self, SimError>
+    where
+        F: FnMut() -> PolicyKind,
+    {
+        let template = module.clone();
+        Self::with_policy(module, channels, interleave_bytes, || {
+            policy_of().build(&template)
+        })
+    }
+}
+
+impl<P: RefreshPolicy> MultiChannelSystem<P> {
+    /// Builds `channels` identical channels of `module`, each running the
+    /// policy `policy_of` returns (called once per channel, so policies
+    /// can be independently seeded).
     ///
     /// # Invariants
     ///
@@ -78,14 +131,14 @@ impl MultiChannelSystem {
     /// # Errors
     ///
     /// Returns [`SimError::Config`] when either invariant is violated.
-    pub fn new<F>(
+    pub fn with_policy<F>(
         module: ModuleConfig,
         channels: u32,
         interleave_bytes: u64,
         mut policy_of: F,
     ) -> Result<Self, SimError>
     where
-        F: FnMut() -> PolicyKind,
+        F: FnMut() -> P,
     {
         if !channels.is_power_of_two() {
             return Err(SimError::Config {
@@ -100,7 +153,7 @@ impl MultiChannelSystem {
         let controllers = (0..channels)
             .map(|_| {
                 let device = crate::sanitize::device(module.geometry, module.timing);
-                MemoryController::new(device, policy_of().build(&module))
+                MemoryController::new(device, policy_of())
             })
             .collect();
         Ok(MultiChannelSystem {
@@ -281,52 +334,30 @@ impl MultiChannelSystem {
     }
 
     /// Per-channel controller access (stats, device, policy).
-    pub fn channel(&self, i: usize) -> &MemoryController<Box<dyn RefreshPolicy>> {
+    pub fn channel(&self, i: usize) -> &MemoryController<P> {
         &self.controllers[i]
     }
 
     /// Mutable per-channel controller access — the hook a system-level
     /// maintenance scheduler uses to advance one channel to a scrub slot
     /// and issue the scrub, without touching the other channels.
-    pub fn channel_mut(&mut self, i: usize) -> &mut MemoryController<Box<dyn RefreshPolicy>> {
+    pub fn channel_mut(&mut self, i: usize) -> &mut MemoryController<P> {
         &mut self.controllers[i]
     }
 
     /// Sum of the channels' DRAM operation counters.
     pub fn total_ops(&self) -> OpStats {
-        let mut sum = OpStats::new();
-        for c in &self.controllers {
-            let s = c.device().stats();
-            sum.activates += s.activates;
-            sum.reads += s.reads;
-            sum.writes += s.writes;
-            sum.precharges += s.precharges;
-            sum.cbr_refreshes += s.cbr_refreshes;
-            sum.ras_only_refreshes += s.ras_only_refreshes;
-            sum.refreshes_closing_open_page += s.refreshes_closing_open_page;
-            sum.scrubs += s.scrubs;
-            sum.rfm_refreshes += s.rfm_refreshes;
-            sum.sarp_overlapped_refreshes += s.sarp_overlapped_refreshes;
-        }
-        sum
+        self.controllers
+            .iter()
+            .fold(OpStats::new(), |sum, c| sum.add(c.device().stats()))
     }
 
-    /// Sum of the channels' controller statistics.
+    /// Sum of the channels' controller statistics, every field
+    /// (`max_latency` is the worst channel's).
     pub fn total_ctrl(&self) -> ControllerStats {
-        let mut sum = ControllerStats::new();
-        for c in &self.controllers {
-            let s = c.stats();
-            sum.transactions += s.transactions;
-            sum.row_hits += s.row_hits;
-            sum.row_misses += s.row_misses;
-            sum.row_conflicts += s.row_conflicts;
-            sum.total_latency += s.total_latency;
-            sum.max_latency = sum.max_latency.max(s.max_latency);
-            sum.refreshes_issued += s.refreshes_issued;
-            sum.bus_charged_refreshes += s.bus_charged_refreshes;
-            sum.powerdown_time += s.powerdown_time;
-        }
-        sum
+        self.controllers
+            .iter()
+            .fold(ControllerStats::new(), |sum, c| sum.add(c.stats()))
     }
 
     /// Verifies retention integrity on every channel at `t`.

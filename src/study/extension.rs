@@ -639,8 +639,9 @@ pub(super) fn multichannel(_threads: usize) -> Result<Report, SimError> {
     let module = mini_module(); // 4096 rows per channel, 16 ms retention
     let channels = 4u32;
     let interleave = 4096u64;
-    let mut sys = MultiChannelSystem::new(module.clone(), channels, interleave, || {
-        PolicyKind::Smart(smart_no_hysteresis())
+    let (g, retention) = (module.geometry, module.timing.retention);
+    let mut sys = MultiChannelSystem::with_policy(module.clone(), channels, interleave, || {
+        SmartRefresh::new(g, retention, smart_no_hysteresis())
     })?;
 
     let horizon = Instant::ZERO + module.timing.retention * 8;
