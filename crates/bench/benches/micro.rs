@@ -2,9 +2,10 @@
 //! walk (executed millions of times per simulated second), the pending
 //! queue, the DRAM command layer, the workload generator, the stacked-DRAM
 //! L3 cache, the SECDED read path, the hammer-pressure ACT hook, the
-//! scrubber's deadline-order victim query, the end-to-end controller
-//! access path, and the multi-channel system's access path with boxed
-//! and with statically dispatched channel policies.
+//! scrubber's deadline-order victim query, the 4 Gb module's retention
+//! tracker (random restores and the closing violations scan), the
+//! end-to-end controller access path, and the multi-channel system's
+//! access path with boxed and with statically dispatched channel policies.
 //!
 //! A self-contained `harness = false` timing loop (no external benchmark
 //! framework, so the workspace builds offline): each benchmark is warmed
@@ -18,6 +19,7 @@ use smartrefresh_core::{
     SmartRefreshConfig, StaggerSchedule,
 };
 use smartrefresh_ctrl::{MemTransaction, MemoryController};
+use smartrefresh_dram::configs::conventional_4gb;
 use smartrefresh_dram::time::{Duration, Instant};
 use smartrefresh_dram::{
     DramDevice, Geometry, ModuleConfig, RetentionTracker, Rng, RowAddr, TimingParams,
@@ -272,6 +274,24 @@ fn bench_retention_victim() {
     });
 }
 
+/// The 4 Gb module's 262 144-row tracker: one restore per ACTIVATE to a
+/// uniformly random row, then the once-per-run `violations` scan on the
+/// same table, which finds every row within its deadline.
+fn bench_retention_4gb() {
+    let module = conventional_4gb();
+    let rows = module.geometry.total_rows();
+    let mut tracker = RetentionTracker::new(&module.geometry, module.timing.retention);
+    let mut rng = Rng::seed_from_u64(0x4e7e_0001);
+    let mut now = Instant::ZERO;
+    bench("retention/restore_random_4gb", 2_000_000, || {
+        now += Duration::from_ns(10);
+        std::hint::black_box(tracker.restore(rng.gen_range(0..rows), now));
+    });
+    bench("retention/violations_4gb", 500, || {
+        std::hint::black_box(tracker.violations(std::hint::black_box(now)));
+    });
+}
+
 fn bench_controller_access() {
     let geometry = Geometry::new(2, 4, 16384, 2048, 64);
     let timing = TimingParams::ddr2_667();
@@ -351,6 +371,7 @@ fn main() {
     bench_ecc();
     bench_hammer();
     bench_retention_victim();
+    bench_retention_4gb();
     bench_controller_access();
     bench_system_access();
 }

@@ -16,6 +16,12 @@ use crate::deadline::DeadlineIndex;
 use crate::geometry::Geometry;
 use crate::time::{Duration, Instant};
 
+/// Bytes per restore stamp until the first restore at or past 2^40 ps
+/// (about 1.1 s): 40 bits hold every earlier instant exactly.
+const NARROW: usize = 5;
+/// Bytes per restore stamp after that: a full [`Instant`].
+const WIDE: usize = 8;
+
 /// Records the last charge-restore instant for every row of a module.
 ///
 /// # Examples
@@ -34,7 +40,19 @@ use crate::time::{Duration, Instant};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RetentionTracker {
-    last_restore: Vec<Instant>,
+    /// Row `i`'s last restore instant: the little-endian `u64` at
+    /// `stamps[stride·i..stride·i + 8]`, masked by `mask`. `WIDE − stride`
+    /// bytes of tail padding keep the last row's 8-byte read in bounds.
+    /// Allocated zeroed (every row restored at time zero) at the
+    /// [`NARROW`] stride; the first restore past `mask` re-packs it
+    /// once at the [`WIDE`] stride.
+    stamps: Vec<u8>,
+    /// Bytes per stamp: [`NARROW`] or [`WIDE`].
+    stride: usize,
+    /// The low `8·stride` bits: the largest instant a stamp can hold.
+    mask: u64,
+    /// Rows tracked.
+    rows: usize,
     retention: Duration,
     /// Optional per-row deadlines (variable retention); `retention` is the
     /// worst case and the default for every row.
@@ -86,8 +104,12 @@ impl RetentionTracker {
     /// refresh sweep completed at power-up).
     pub fn new(geometry: &Geometry, retention: Duration) -> Self {
         assert!(!retention.is_zero(), "retention must be nonzero");
+        let rows = geometry.total_rows() as usize;
         RetentionTracker {
-            last_restore: vec![Instant::ZERO; geometry.total_rows() as usize],
+            stamps: vec![0; rows * NARROW + (WIDE - NARROW)],
+            stride: NARROW,
+            mask: (1 << (8 * NARROW)) - 1,
+            rows,
             retention,
             per_row: None,
             restores: 0,
@@ -110,7 +132,7 @@ impl RetentionTracker {
     pub fn apply_profile(&mut self, profile: &crate::profile::RetentionProfile) {
         assert_eq!(
             profile.len() as usize,
-            self.last_restore.len(),
+            self.rows,
             "profile must cover every row"
         );
         let base = self.retention;
@@ -144,19 +166,13 @@ impl RetentionTracker {
     /// Panics if `flat_index` is out of range or `deadline` is zero.
     pub fn set_row_deadline(&mut self, flat_index: u64, deadline: Duration) {
         assert!(!deadline.is_zero(), "row deadline must be nonzero");
-        assert!(
-            (flat_index as usize) < self.last_restore.len(),
-            "row {flat_index} out of range"
-        );
+        let last = self.last_restore(flat_index);
         let per_row = self
             .per_row
-            .get_or_insert_with(|| vec![self.retention; self.last_restore.len()]);
+            .get_or_insert_with(|| vec![self.retention; self.rows]);
         per_row[flat_index as usize] = deadline;
         if let Some(index) = &mut self.deadline_index {
-            index.set(
-                flat_index,
-                self.last_restore[flat_index as usize] + deadline,
-            );
+            index.set(flat_index, last + deadline);
         }
     }
 
@@ -183,12 +199,57 @@ impl RetentionTracker {
 
     /// Number of rows tracked.
     pub fn len(&self) -> usize {
-        self.last_restore.len()
+        self.rows
     }
 
     /// True when tracking zero rows (degenerate geometry).
     pub fn is_empty(&self) -> bool {
-        self.last_restore.is_empty()
+        self.rows == 0
+    }
+
+    /// `flat_index` as a row of the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat_index` is out of range.
+    #[inline(always)]
+    fn row(&self, flat_index: u64) -> usize {
+        assert!(
+            flat_index < self.rows as u64,
+            "row {flat_index} out of range"
+        );
+        flat_index as usize
+    }
+
+    /// The 8-byte word at byte `at`; its `mask` bits are one row's stamp.
+    #[inline(always)]
+    fn word(&self, at: usize) -> u64 {
+        let mut word = [0; WIDE];
+        word.copy_from_slice(&self.stamps[at..at + WIDE]);
+        u64::from_le_bytes(word)
+    }
+
+    /// Row `row`'s last restore instant (`row < rows`).
+    #[inline(always)]
+    fn stamp(&self, row: usize) -> Instant {
+        Instant::from_ps(self.word(row * self.stride) & self.mask)
+    }
+
+    /// Every row's last restore instant, in flat order.
+    fn stamps(&self) -> impl ExactSizeIterator<Item = Instant> + '_ {
+        (0..self.rows).map(|row| self.stamp(row))
+    }
+
+    /// Re-packs the table at the [`WIDE`] stride, so that it holds any
+    /// [`Instant`]. Runs at most once per tracker.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) {
+        let mut wide = Vec::with_capacity(self.rows * WIDE);
+        wide.extend(self.stamps().flat_map(|t| t.as_ps().to_le_bytes()));
+        self.stamps = wide;
+        self.stride = WIDE;
+        self.mask = u64::MAX;
     }
 
     /// Records that row `flat_index` had its charge restored at `now`.
@@ -200,12 +261,19 @@ impl RetentionTracker {
     ///
     /// Panics if `flat_index` is out of range.
     pub fn restore(&mut self, flat_index: u64, now: Instant) -> Option<Duration> {
-        let slot = &mut self.last_restore[flat_index as usize];
-        if now < *slot {
+        if now.as_ps() > self.mask {
+            self.widen();
+        }
+        let at = self.row(flat_index) * self.stride;
+        let word = self.word(at);
+        let last = Instant::from_ps(word & self.mask);
+        if now < last {
             return None;
         }
-        let interval = now.since(*slot);
-        *slot = now;
+        let interval = now.since(last);
+        // Keep the next row's bytes that share this word.
+        let word = (word & !self.mask) | now.as_ps();
+        self.stamps[at..at + WIDE].copy_from_slice(&word.to_le_bytes());
         self.restores += 1;
         let deadline = self.row_deadline(flat_index);
         if interval > deadline {
@@ -239,7 +307,7 @@ impl RetentionTracker {
 
     /// Every row's current deadline instant, in flat order.
     fn deadlines(&self) -> impl ExactSizeIterator<Item = Instant> + '_ {
-        (0..self.last_restore.len()).map(|i| self.last_restore[i] + self.row_deadline(i as u64))
+        (0..self.rows).map(|row| self.stamp(row) + self.row_deadline(row as u64))
     }
 
     /// Re-keys every row in the deadline index, if it has been built.
@@ -259,8 +327,12 @@ impl RetentionTracker {
     }
 
     /// The last restore instant for a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat_index` is out of range.
     pub fn last_restore(&self, flat_index: u64) -> Instant {
-        self.last_restore[flat_index as usize]
+        self.stamp(self.row(flat_index))
     }
 
     /// Flat indices of all rows whose data has exceeded the retention
@@ -269,34 +341,36 @@ impl RetentionTracker {
         let Some(per_row) = &self.per_row else {
             // One deadline for every row: a row is overdue exactly when it
             // was last restored before `now - retention`. The counting scan
-            // has no data-dependent branch, so it vectorizes, and the
-            // common no-violation case allocates nothing.
-            let cutoff = Instant::from_ps(now.as_ps().saturating_sub(self.retention.as_ps()));
-            let overdue = self.last_restore.iter().filter(|&&t| t < cutoff).count();
+            // has no data-dependent branch, and the common no-violation
+            // case allocates nothing.
+            let cutoff = now.as_ps().saturating_sub(self.retention.as_ps());
+            let overdue = match self.stride {
+                NARROW => count_below::<NARROW>(&self.stamps, self.rows, cutoff),
+                _ => count_below::<WIDE>(&self.stamps, self.rows, cutoff),
+            };
             if overdue == 0 {
                 return Vec::new();
             }
             let mut rows = Vec::with_capacity(overdue);
             rows.extend(
                 (0u64..)
-                    .zip(&self.last_restore)
-                    .filter(|&(_, &t)| t < cutoff)
+                    .zip(self.stamps())
+                    .filter(|&(_, t)| t.as_ps() < cutoff)
                     .map(|(i, _)| i),
             );
             return rows;
         };
         (0u64..)
-            .zip(self.last_restore.iter().zip(per_row))
-            .filter(|&(_, (&t, &deadline))| now.saturating_since(t) > deadline)
+            .zip(self.stamps().zip(per_row))
+            .filter(|&(_, (t, &deadline))| now.saturating_since(t) > deadline)
             .map(|(i, _)| i)
             .collect()
     }
 
     /// The staleness of the most-overdue row at `now`.
     pub fn max_staleness(&self, now: Instant) -> Duration {
-        self.last_restore
-            .iter()
-            .map(|&t| now.saturating_since(t))
+        self.stamps()
+            .map(|t| now.saturating_since(t))
             .max()
             .unwrap_or(Duration::ZERO)
     }
@@ -312,11 +386,7 @@ impl RetentionTracker {
         let mean_ps = if self.restores == 0 {
             0.0
         } else {
-            let total: u128 = self
-                .last_restore
-                .iter()
-                .map(|t| u128::from(t.as_ps()))
-                .sum();
+            let total: u128 = self.stamps().map(|t| u128::from(t.as_ps())).sum();
             total as f64 / self.restores as f64
         };
         RetentionSummary {
@@ -329,6 +399,35 @@ impl RetentionTracker {
             },
         }
     }
+}
+
+/// How many of the first `rows` stamps of a `STRIDE`-byte table are below
+/// `cutoff`. Eight stamps are decoded per `8·STRIDE`-byte block, each from
+/// an 8-byte word inside the block, so the scan has no data-dependent
+/// branch and no bounds check per row.
+fn count_below<const STRIDE: usize>(stamps: &[u8], rows: usize, cutoff: u64) -> usize {
+    let mask = u64::MAX >> (64 - 8 * STRIDE);
+    let below = |bytes: &[u8], shift: usize| {
+        let mut word = [0; WIDE];
+        word[..bytes.len()].copy_from_slice(bytes);
+        usize::from((u64::from_le_bytes(word) >> shift) & mask < cutoff)
+    };
+    let block = 8 * STRIDE;
+    let blocks = stamps[..rows * STRIDE].chunks_exact(block);
+    let tail = blocks.remainder();
+    let mut count = 0;
+    for b in blocks {
+        for j in 0..8 {
+            // The last stamp's word ends at the block's end.
+            let start = (j * STRIDE).min(block - WIDE);
+            count += below(&b[start..start + WIDE], 8 * (j * STRIDE - start));
+        }
+    }
+    count
+        + tail
+            .chunks_exact(STRIDE)
+            .map(|stamp| below(stamp, 0))
+            .sum::<usize>()
 }
 
 #[cfg(test)]
@@ -452,8 +551,20 @@ mod tests {
         (0..t.len() as u64).min_by_key(|&i| (t.last_restore(i) + t.row_deadline(i), i))
     }
 
+    /// 5 ms before the narrow stamps run out: a clock started here widens
+    /// the table a few milliseconds into a test sequence.
+    const NEAR_WIDENING: Instant = Instant::from_ps((1 << 40) - 5_000_000_000);
+
     #[test]
     fn earliest_deadline_row_matches_the_scan() {
+        for start in [Instant::ZERO, NEAR_WIDENING] {
+            check_earliest_deadline_row(start);
+        }
+    }
+
+    /// Random restores, deadline changes and profiles from `start` on,
+    /// checking every answer and every index against the scan.
+    fn check_earliest_deadline_row(start: Instant) {
         use crate::profile::RetentionProfile;
         use crate::rng::Rng;
 
@@ -470,7 +581,7 @@ mod tests {
             Some(0),
             "all rows tie at t=0"
         );
-        let mut now = Instant::ZERO;
+        let mut now = start;
         for step in 0..3_000 {
             let row = rng.gen_range(0..rows);
             let base = eager.retention();
@@ -569,6 +680,8 @@ mod tests {
                 assert_eq!(index, &fresh, "sweep {step}");
             }
         }
+        let stride = if start == Instant::ZERO { NARROW } else { WIDE };
+        assert_eq!((eager.stride, lazy.stride), (stride, stride));
     }
 
     #[test]
@@ -600,21 +713,31 @@ mod tests {
         let mut weak = uniform.clone();
         weak.set_row_deadline(5, Duration::from_ms(20));
         let mut rng = Rng::seed_from_u64(11);
-        for mut t in [uniform, profiled, weak] {
-            let mut now = Instant::ZERO;
-            for step in 0..60 {
-                now += Duration::from_ms(rng.gen_range(1u64..12));
-                for _ in 0..rng.gen_range(0usize..300) {
-                    // Some restores land after `now` (activate + tRAS).
-                    let at = now + Duration::from_us(rng.gen_range(0u64..50));
-                    t.restore(rng.gen_range(0..g.total_rows()), at);
-                }
-                for probe in [now, now + retention, now + retention * 3] {
-                    assert_eq!(
-                        t.violations(probe),
-                        brute_force_violations(&t, probe),
-                        "step {step}"
-                    );
+        for start in [Instant::ZERO, NEAR_WIDENING] {
+            for mut t in [uniform.clone(), profiled.clone(), weak.clone()] {
+                // The plain form of the stamps.
+                let mut shadow = vec![Instant::ZERO; t.len()];
+                let mut now = start;
+                for step in 0..60 {
+                    now += Duration::from_ms(rng.gen_range(1u64..12));
+                    for _ in 0..rng.gen_range(0usize..300) {
+                        // Some restores land after `now` (activate + tRAS).
+                        let at = now + Duration::from_us(rng.gen_range(0u64..50));
+                        let row = rng.gen_range(0..g.total_rows());
+                        t.restore(row, at);
+                        let slot = &mut shadow[row as usize];
+                        *slot = (*slot).max(at);
+                    }
+                    for (i, &last) in (0u64..).zip(&shadow) {
+                        assert_eq!(t.last_restore(i), last, "step {step} row {i}");
+                    }
+                    for probe in [now, now + retention, now + retention * 3] {
+                        assert_eq!(
+                            t.violations(probe),
+                            brute_force_violations(&t, probe),
+                            "step {step}"
+                        );
+                    }
                 }
             }
         }
@@ -626,6 +749,105 @@ mod tests {
             fresh.violations(at + Duration::from_ps(1)).len() as u64,
             g.total_rows()
         );
+        // One overdue row at each position of two eight-stamp blocks, on
+        // both sides of the widening: the count alone decides whether the
+        // rows are listed at all.
+        let two_blocks = Geometry::new(1, 2, 8, 4, 64);
+        for start in [Instant::ZERO, NEAR_WIDENING + Duration::from_ms(10)] {
+            let fresh = start + retention + Duration::from_ms(2);
+            for stale in 0..two_blocks.total_rows() {
+                let mut t = RetentionTracker::new(&two_blocks, retention);
+                t.restore(stale, start + Duration::from_ms(1));
+                for row in (0..t.len() as u64).filter(|&row| row != stale) {
+                    t.restore(row, fresh);
+                }
+                let probe = fresh + Duration::from_ps(1);
+                assert_eq!(t.violations(probe), vec![stale], "row {stale}");
+            }
+        }
+    }
+
+    /// A plain `Vec<Instant>` tracker under one deadline: the oracle for the
+    /// packed stamps on both sides of 2^40 ps.
+    struct PlainTracker {
+        last: Vec<Instant>,
+        retention: Duration,
+        restores: u64,
+        interval_ps: u128,
+        late: Vec<LateRestore>,
+    }
+
+    impl PlainTracker {
+        fn restore(&mut self, row: u64, now: Instant) -> Option<Duration> {
+            let slot = &mut self.last[row as usize];
+            if now < *slot {
+                return None;
+            }
+            let interval = now.since(*slot);
+            *slot = now;
+            self.restores += 1;
+            self.interval_ps += u128::from(interval.as_ps());
+            if interval > self.retention {
+                self.late.push(LateRestore {
+                    flat_index: row,
+                    deadline: self.retention,
+                    interval,
+                    at: now,
+                });
+            }
+            Some(interval)
+        }
+
+        fn violations(&self, now: Instant) -> Vec<u64> {
+            (0u64..)
+                .zip(&self.last)
+                .filter(|&(_, &t)| now.saturating_since(t) > self.retention)
+                .map(|(i, _)| i)
+                .collect()
+        }
+    }
+
+    #[test]
+    fn stamps_match_plain_instants_across_the_widening() {
+        let retention = Duration::from_ms(64);
+        let mut t = RetentionTracker::new(&small(), retention);
+        let mut plain = PlainTracker {
+            last: vec![Instant::ZERO; t.len()],
+            retention,
+            restores: 0,
+            interval_ps: 0,
+            late: Vec::new(),
+        };
+        let edge = Instant::from_ps(1 << 40);
+        let last_narrow = Instant::from_ps((1 << 40) - 1);
+        let ms = Duration::from_ms(1);
+        // Rows 0 and 1 share a word at the 5-byte stride.
+        let schedule = [
+            (0, last_narrow, NARROW),
+            (1, last_narrow - ms, NARROW),
+            (2, Instant::from_ps(1 << 39), NARROW),
+            (1, edge, WIDE),
+            // Out of order after the widening: ignored.
+            (0, last_narrow - ms, WIDE),
+            (3, edge + ms, WIDE),
+            (0, edge + retention, WIDE),
+        ];
+        for (step, (row, at, stride)) in schedule.into_iter().enumerate() {
+            assert_eq!(t.restore(row, at), plain.restore(row, at), "step {step}");
+            assert_eq!(t.stride, stride, "step {step}");
+            for (i, &last) in (0u64..).zip(&plain.last) {
+                assert_eq!(t.last_restore(i), last, "step {step} row {i}");
+            }
+            assert_eq!(t.late_restores(), &plain.late[..], "step {step}");
+            let mean_ps = plain.interval_ps as f64 / plain.restores as f64;
+            let s = t.summary();
+            assert_eq!(s.restores, plain.restores, "step {step}");
+            assert_eq!(s.mean_interval_s, mean_ps * 1e-12, "step {step}");
+            assert_eq!(s.optimality, mean_ps / retention.as_ps() as f64);
+            for probe in [at, edge, edge + retention, edge + retention * 2] {
+                assert_eq!(t.violations(probe), plain.violations(probe), "step {step}");
+            }
+        }
     }
 
     /// The mean over a hand-computed schedule. On 8 rows with a 64 ms
